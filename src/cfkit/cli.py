@@ -35,7 +35,7 @@ from .invariants import (
     tensor_factor,
 )
 from .literals import ParseError, parse_cf, parse_rational, render_cf
-from .paths import DEFAULT_CAP, defect_by_enumeration, enumerate_paths, path_counts
+from .paths import DEFAULT_CAP, enumerate_paths, path_counts
 
 
 def _ints_csv(text: str, *, count: int | None = None, what: str = "integer list") -> list[int]:
@@ -155,7 +155,7 @@ def cmd_oracle(args) -> tuple[dict, str | None]:
     cap = args.cap if args.cap is not None else DEFAULT_CAP
     counts = path_counts(k)
     enumerated = [len(enumerate_paths(k, f, cap=cap)) for f in range(k.h + 1)]
-    defect = defect_by_enumeration(k, cap=cap) if k.h > 0 else 0
+    defect = sum((k.h - f) * c for f, c in enumerate(enumerated))
     _, m = k_to_invariant(k)
     match = enumerated == list(counts.per_length) and defect == m
     record = {

@@ -66,9 +66,10 @@ class KSequence:
         for e in entries:
             if not isinstance(e, int) or e < 0:
                 raise DomainError(f"k-sequence entries must be integers >= 0, got {e!r}")
-        while entries and entries[-1] == 0:
-            entries = entries[:-1]
-        object.__setattr__(self, "entries", entries)
+        end = len(entries)
+        while end and entries[end - 1] == 0:
+            end -= 1
+        object.__setattr__(self, "entries", entries[:end])
 
     @property
     def h(self) -> int:

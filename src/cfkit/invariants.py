@@ -118,18 +118,7 @@ def build_quotient(a: IndexPair, n: int) -> QuotientGroup:
     a_prime = (a[0] // c, a[1] // c)
     b = _bezout_companion(a_prime)
     d = gcd(c, n)
-    q = QuotientGroup(n=n, a=a, c=c, a_prime=a_prime, b=b, d=d)
-    _check_pairings(q)
-    return q
-
-
-def _check_pairings(q: QuotientGroup) -> None:
-    ap, am = q.a_prime
-    bp, bm = q.b
-    # (a')^T A b = 1 and b^T A^T a' = 1; the skew form vanishes identically
-    # on a single vector, so (a')^T A^T a' = b^T A b = 0 need no check.
-    assert -ap * bm + am * bp == 1
-    assert bp * am - bm * ap == 1
+    return QuotientGroup(n=n, a=a, c=c, a_prime=a_prime, b=b, d=d)
 
 
 def project(k: tuple[int, int], q: QuotientGroup) -> tuple[int, int]:

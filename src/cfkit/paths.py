@@ -10,14 +10,22 @@ relation is ever applied.
 
 The counting sequences are defined by the number of normal-form words with
 range v_1 whose final edge is a wall: ``per_length[f]`` counts words of
-length exactly f and ``cumulative[f]`` those of length at most f.  They
-satisfy the recurrences
+length exactly f and ``cumulative[f]`` those of length at most f.  Both are
+1 at f = 0 (the empty word) and are defined by the quadratic sums
 
     per_length[f] = k_f * sum((f - l) * per_length[l] for l < f)
-    cumulative[f] = k_f * sum(cumulative[:f]) + cumulative[f - 1]
+    cumulative[f] = sum(per_length[:f + 1])
 
-with value 1 at f = 0 (the empty word).  The enumeration is the independent
-oracle for these recurrences and for the defect count used by
+The weighted sum equals sum(cumulative[:f]), so :func:`path_counts` makes one
+linear pass over that running total T, which is 1 before f = 1:
+
+    per_length[f] = k_f * T
+    cumulative[f] = cumulative[f - 1] + per_length[f]
+    T += cumulative[f]
+
+``test_counts_match_quadratic_definitions`` in ``tests/test_paths.py`` checks
+the pass against the quadratic sums.  The enumeration is the independent
+oracle for these counts and for the defect count used by
 :mod:`cfkit.correspondence`.
 """
 
@@ -71,13 +79,6 @@ class PathCounts:
     per_length: tuple[int, ...]
     cumulative: tuple[int, ...]
 
-    def __post_init__(self):
-        assert self.per_length[0] == self.cumulative[0] == 1
-        assert all(
-            self.cumulative[f] == sum(self.per_length[: f + 1])
-            for f in range(len(self.per_length))
-        )
-
 
 def path_counts(k: KSequence, upto: int | None = None) -> PathCounts:
     """Counting sequences through index ``upto`` (default: the support height)."""
@@ -87,14 +88,11 @@ def path_counts(k: KSequence, upto: int | None = None) -> PathCounts:
         raise DomainError("upto must be >= 0")
     per = [1]
     cum = [1]
+    total = 1  # sum(cum)
     for f in range(1, upto + 1):
-        kf = k.at(f)
-        weighted = sum((f - l) * per[l] for l in range(f))
-        # Same sum re-indexed over cumulative counts; cheap internal cross-check.
-        assert weighted == sum(cum[f - p - 1] for p in range(f))
-        per.append(kf * weighted)
-        cum.append(kf * sum(cum) + cum[f - 1])
-        assert cum[f] == sum(per)
+        per.append(k.at(f) * total)
+        cum.append(cum[-1] + per[-1])
+        total += cum[-1]
     return PathCounts(tuple(per), tuple(cum))
 
 

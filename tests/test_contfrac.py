@@ -148,6 +148,7 @@ def test_ksequence_normalization():
     assert KSequence((1, 0, 2, 0, 0)).entries == (1, 0, 2)
     assert KSequence(()).h == 0
     assert KSequence((0, 0)).h == 0
+    assert KSequence((1,) + (0,) * 200_000).h == 1
     with pytest.raises(DomainError):
         KSequence((1, -1))
 

@@ -1,3 +1,4 @@
+import random
 from itertools import product
 
 import pytest
@@ -62,6 +63,28 @@ def test_counts_examples():
     assert path_counts(KSequence((1, 1))).cumulative == (1, 2, 5)
     assert path_counts(KSequence((2,))).cumulative == (1, 3)
     assert path_counts(KSequence((0, 2))).cumulative == (1, 1, 5)
+
+
+def seeded_sequences(count=20, max_h=300, max_entry=3, seed=2024):
+    """Random canonical nonzero k-sequences with support height <= max_h."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        h = rng.randint(1, max_h)
+        entries = [rng.randint(0, max_entry) for _ in range(h - 1)]
+        yield KSequence((*entries, rng.randint(1, max_entry)))
+
+
+def test_counts_match_quadratic_definitions():
+    for k in [*small_sequences(4, 2), *seeded_sequences()]:
+        counts = path_counts(k)
+        per, cum = counts.per_length, counts.cumulative
+        assert len(per) == len(cum) == k.h + 1
+        assert per[0] == cum[0] == 1
+        for f in range(1, k.h + 1):
+            weighted = sum((f - l) * per[l] for l in range(f))
+            assert weighted == sum(cum[f - p - 1] for p in range(f))
+            assert per[f] == k.at(f) * weighted
+            assert cum[f] == sum(per[: f + 1])
 
 
 def test_counts_per_length_examples():
@@ -136,3 +159,9 @@ def test_counts_beyond_support_stay_flat():
     counts = path_counts(KSequence((2,)), upto=4)
     assert counts.per_length == (1, 2, 0, 0, 0)
     assert counts.cumulative == (1, 3, 3, 3, 3)
+    assert path_counts(KSequence(()), upto=3).cumulative == (1, 1, 1, 1)
+    for k in small_sequences(3, 2):
+        exact = path_counts(k)
+        beyond = path_counts(k, upto=k.h + 3)
+        assert beyond.per_length == exact.per_length + (0, 0, 0)
+        assert beyond.cumulative == exact.cumulative + (exact.cumulative[-1],) * 3
