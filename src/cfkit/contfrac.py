@@ -33,11 +33,11 @@ class ContinuedFraction:
     terms: tuple[int, ...] = ()
 
     def __post_init__(self):
-        if not isinstance(self.a0, int):
+        if type(self.a0) is not int:  # rejects bool, an int subclass
             raise DomainError(f"a0 must be an integer, got {self.a0!r}")
         terms = tuple(self.terms)
         for t in terms:
-            if not isinstance(t, int) or t < 0:
+            if type(t) is not int or t < 0:
                 raise DomainError(f"terms after a0 must be integers >= 0, got {t!r}")
         object.__setattr__(self, "terms", terms)
 
@@ -64,7 +64,7 @@ class KSequence:
     def __post_init__(self):
         entries = tuple(self.entries)
         for e in entries:
-            if not isinstance(e, int) or e < 0:
+            if type(e) is not int or e < 0:
                 raise DomainError(f"k-sequence entries must be integers >= 0, got {e!r}")
         end = len(entries)
         while end and entries[end - 1] == 0:
@@ -188,15 +188,11 @@ def simple_to_k(cf: ContinuedFraction) -> KSequence:
     _require_zero_head_simple(cf, "simple_to_k")
     if len(cf.terms) % 2 != 0:
         raise DomainError(f"simple_to_k requires an even number of terms, got {len(cf.terms)}")
-    entries: dict[int, int] = {}
-    p = 0
-    for j in range(0, len(cf.terms), 2):
-        p += cf.terms[j]
-        entries[p] = cf.terms[j + 1]
-    out = [0] * p
-    for i, v in entries.items():
-        out[i - 1] = v
-    return KSequence(tuple(out))
+    entries: list[int] = []
+    for gap, value in zip(cf.terms[::2], cf.terms[1::2]):
+        entries += [0] * (gap - 1)
+        entries.append(value)
+    return KSequence(tuple(entries))
 
 
 def k_value(k: KSequence) -> Fraction:

@@ -114,11 +114,8 @@ def invariant_to_k(n: int, m: int) -> KSequence:
         quotients.append(ql)
         consumed += rem
     assert m - consumed == 1  # the scheme bottoms out at 1 for coprime input
-    h = len(quotients)
-    entries = [0] * h
-    entries[0] = quotients[h - 1] - 1
-    for l in range(2, h + 1):
-        entries[l - 1] = quotients[h - l]
+    entries = quotients[::-1]
+    entries[0] -= 1
     return KSequence(tuple(entries))
 
 

@@ -72,37 +72,18 @@ class InvariantClass:
     mbar: tuple[int, int]
 
 
-def _xgcd(a: int, b: int) -> tuple[int, int, int]:
-    """g, x, y with x*a + y*b = g = gcd(a, b) >= 0."""
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    if old_r < 0:
-        old_r, old_s, old_t = -old_r, -old_s, -old_t
-    return old_r, old_s, old_t
-
-
 def _bezout_companion(a_prime: IndexPair) -> IndexPair:
     """Deterministic b with -a'_+ b_- + a'_- b_+ = 1.
 
     Solutions differ by integer multiples of a'; the representative is fixed
-    by reducing b_+ mod |a'_+| when a'_+ != 0, else b_- mod |a'_-|.
+    by taking b_+ in [0, |a'_+|) when a'_+ != 0, else b_- = 0.
     """
     ap, am = a_prime
-    g, x, y = _xgcd(am, -ap)
-    assert g == 1
-    b_plus, b_minus = x, y
-    if ap != 0:
-        shift = (b_plus - b_plus % abs(ap)) // ap
+    if ap == 0:
+        b_plus, b_minus = am, 0
     else:
-        shift = (b_minus - b_minus % abs(am)) // am
-    b_plus -= shift * ap
-    b_minus -= shift * am
+        b_plus = pow(am, -1, abs(ap))
+        b_minus = (am * b_plus - 1) // ap
     assert -ap * b_minus + am * b_plus == 1
     return (b_plus, b_minus)
 

@@ -32,14 +32,13 @@ oracle for these counts and for the defect count used by
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, product
 
 from .contfrac import KSequence
 from .errors import CapExceeded, DomainError
 
 DEFAULT_CAP = 1_000_000
 
-_KIND_RANK = {"alpha": 0, "beta": 1, "gamma": 2}
+_KINDS = ("alpha", "beta", "gamma")
 
 
 @dataclass(frozen=True)
@@ -51,7 +50,7 @@ class Edge:
     wall: int | None = None
 
     def __post_init__(self):
-        if self.kind not in _KIND_RANK:
+        if self.kind not in _KINDS:
             raise DomainError(f"unknown edge kind {self.kind!r}")
         if self.level < 1:
             raise DomainError("edge level must be >= 1")
@@ -59,9 +58,6 @@ class Edge:
             raise DomainError("wall index is required exactly for gamma edges")
         if self.wall is not None and self.wall < 1:
             raise DomainError("wall index must be >= 1")
-
-    def sort_key(self) -> tuple[int, int]:
-        return (_KIND_RANK[self.kind], self.wall or 0)
 
     def __str__(self) -> str:
         if self.kind == "gamma":
@@ -99,12 +95,17 @@ def path_counts(k: KSequence, upto: int | None = None) -> PathCounts:
 def enumerate_paths(k: KSequence, length: int, cap: int = DEFAULT_CAP) -> list[PathWord]:
     """All normal-form words of exactly ``length`` edges ending in a wall edge.
 
-    Words are generated by choosing the wall positions t_1 < ... < t_s (the
-    last equal to ``length``), a wall index 1..k_t at each, and the number of
-    alpha edges in each wall-free gap.  Output is sorted lexicographically on
-    the edge list.  Length 0 yields the empty word; the result is empty when
-    k_length = 0.  Raises :class:`CapExceeded` when the predicted cumulative
-    count at ``length`` exceeds ``cap``.
+    Words are built one level at a time: every valid prefix of length t - 1
+    is extended by each admissible level-t edge, tried in the order alpha,
+    beta, gamma(1), ..., gamma(k_t).  A prefix ending in beta takes no alpha
+    next (alphas precede betas in each wall-free run), and at t = ``length``
+    only the walls are appended.  Each distinct edge is built once per call.
+    Since prefixes and edges are both tried in order, the output is sorted
+    lexicographically on the edge list, edges compared by kind (alpha < beta
+    < gamma) and then by wall index.  Length 0 yields the empty word; the
+    result is empty when k_length = 0.  Raises :class:`CapExceeded` when the
+    predicted cumulative count at ``length`` exceeds ``cap``; no level holds
+    more prefixes than there are final words.
     """
     if length < 0:
         raise DomainError("length must be >= 0")
@@ -117,30 +118,21 @@ def enumerate_paths(k: KSequence, length: int, cap: int = DEFAULT_CAP) -> list[P
         return [()]
     if k.at(length) == 0:
         return []
-    candidates = [t for t in range(1, length) if k.at(t) > 0]
-    words = []
-    for s in range(len(candidates) + 1):
-        for inner in combinations(candidates, s):
-            walls = (*inner, length)
-            gaps = [hi - lo - 1 for lo, hi in zip((0, *walls), walls)]
-            for alpha_counts in product(*(range(g + 1) for g in gaps)):
-                for wall_indices in product(*(range(1, k.at(t) + 1) for t in walls)):
-                    words.append(_assemble(walls, wall_indices, alpha_counts))
+    words: list[PathWord] = [()]
+    for t in range(1, length + 1):
+        walls = tuple(Edge("gamma", t, w) for w in range(1, k.at(t) + 1))
+        if t == length:
+            words = [w + (e,) for w in words for e in walls]
+        else:
+            after_beta = (Edge("beta", t), *walls)
+            anywhere = (Edge("alpha", t), *after_beta)
+            words = [
+                w + (e,)
+                for w in words
+                for e in (after_beta if w and w[-1].kind == "beta" else anywhere)
+            ]
     assert len(words) == counts.per_length[length]
-    words.sort(key=lambda w: tuple(e.sort_key() for e in w))
     return words
-
-
-def _assemble(walls, wall_indices, alpha_counts) -> PathWord:
-    edges = []
-    prev = 0
-    for t, wall, n_alpha in zip(walls, wall_indices, alpha_counts):
-        for offset in range(t - prev - 1):
-            kind = "alpha" if offset < n_alpha else "beta"
-            edges.append(Edge(kind, prev + 1 + offset))
-        edges.append(Edge("gamma", t, wall))
-        prev = t
-    return tuple(edges)
 
 
 def enumerate_paths_upto(k: KSequence, length: int, cap: int = DEFAULT_CAP) -> list[PathWord]:

@@ -62,6 +62,10 @@ def test_term_validation():
         ContinuedFraction(0, (2, -1))
     with pytest.raises(DomainError):
         ContinuedFraction(Fraction(1, 2), (2,))  # a0 must be an integer
+    with pytest.raises(DomainError):
+        ContinuedFraction(True)  # bool is not accepted as an integer
+    with pytest.raises(DomainError):
+        ContinuedFraction(0, (True, 2))
 
 
 @given(st.integers(-9, 9), st.lists(st.integers(0, 4), max_size=10))
@@ -151,6 +155,8 @@ def test_ksequence_normalization():
     assert KSequence((1,) + (0,) * 200_000).h == 1
     with pytest.raises(DomainError):
         KSequence((1, -1))
+    with pytest.raises(DomainError):
+        KSequence((True,))
 
 
 def test_k_to_simple_examples():

@@ -107,12 +107,24 @@ def test_enumeration_matches_recurrence_small():
             assert len(enumerate_paths(k, f)) == counts.per_length[f]
 
 
+def word_key(word):
+    return tuple((("alpha", "beta", "gamma").index(e.kind), e.wall or 0) for e in word)
+
+
 def test_enumerated_words_are_valid_and_distinct():
     for k in small_sequences(3, 2):
         words = enumerate_paths_upto(k, k.h)
         assert len(set(words)) == len(words)
         for w in words:
             assert is_normal_form(w, k)
+    for k in small_sequences(4, 2):
+        per = path_counts(k).per_length
+        for f in range(k.h + 2):
+            words = enumerate_paths(k, f)
+            keys = [word_key(w) for w in words]
+            assert all(a < b for a, b in zip(keys, keys[1:]))
+            assert all(is_normal_form(w, k) for w in words)
+            assert len(words) == (per[f] if f <= k.h else 0)
 
 
 def test_normal_form_rejects_beta_before_alpha():
