@@ -3,8 +3,10 @@
 Every subcommand prints a stable record: human-readable ``key = value``
 lines by default, or, with ``--format json``, a single JSON object
 ``{"command", "inputs", "outputs"}`` in which every integer is rendered as a
-decimal string so arbitrary precision survives the trip.  Exit codes: 0 on
-success, 1 on domain errors (precondition violations), 2 on parse errors.
+decimal string so arbitrary precision survives the trip.  Integers of any
+size are accepted, and negative values such as ``-1,1`` or ``-1/2`` may
+stand anywhere in the argument list.  Exit codes: 0 on success, 1 on domain
+errors (precondition violations), 2 on parse errors.
 """
 
 from __future__ import annotations
@@ -13,7 +15,6 @@ import argparse
 import json
 import re
 import sys
-from fractions import Fraction
 
 from .contfrac import KSequence, eval_cf, expand_simple
 from .correspondence import (
@@ -24,7 +25,6 @@ from .correspondence import (
     rational_to_invariant,
 )
 from .errors import DomainError
-from .exact import ExtendedRational
 from .invariants import (
     ExtensionDescriptor,
     brute_force_quotient,
@@ -49,193 +49,128 @@ def _ints_csv(text: str, *, count: int | None = None, what: str = "integer list"
     return values
 
 
-def _nonneg_csv(text: str, what: str) -> list[int]:
-    values = _ints_csv(text, what=what)
-    for v in values:
-        if v < 0:
-            raise DomainError(f"{what} entries must be >= 0, got {v}")
-    return values
-
-
 def _descriptor(text: str) -> ExtensionDescriptor:
     n, a_plus, a_minus, k_plus, k_minus = _ints_csv(text, count=5, what="descriptor")
     return ExtensionDescriptor(n=n, index=(a_plus, a_minus), defects=(k_plus, k_minus))
 
 
-def _fmt(value) -> str:
-    """Text rendering: rationals as p/q, booleans lowercase, lists compact."""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, (ExtendedRational, Fraction, int, str)):
-        return str(value)
-    if isinstance(value, (list, tuple)):
-        return "[" + ",".join(_fmt(v) for v in value) + "]"
-    if value is None:
-        return "null"
-    if isinstance(value, dict):
-        return " ".join(f"{k}={_fmt(v)}" for k, v in value.items())
-    return str(value)
-
-
 def _jsonable(value):
-    """Integers (and rationals) become decimal strings; structure is preserved."""
-    if isinstance(value, bool):
-        return value
-    if isinstance(value, int):
-        return str(value)
-    if isinstance(value, (Fraction, ExtendedRational)):
-        return str(value)
-    if isinstance(value, str):
-        return value
+    """Lists and dicts keep their shape, booleans and None stay; all else becomes its str."""
     if isinstance(value, (list, tuple)):
         return [_jsonable(v) for v in value]
     if isinstance(value, dict):
         return {k: _jsonable(v) for k, v in value.items()}
-    if value is None:
-        return None
-    return str(value)
+    return value if value is None or isinstance(value, bool) else str(value)
 
 
-def _emit(args, record: dict, bare_key: str | None = None) -> None:
-    if args.format == "json":
-        print(json.dumps(_jsonable(record), sort_keys=True, separators=(",", ":")))
+def _text(value) -> str:
+    """Text rendering of a converted value: lists compact, true/false/null lowercase."""
+    if isinstance(value, list):
+        return "[" + ",".join(map(_text, value)) + "]"
+    return value if isinstance(value, str) else json.dumps(value)
+
+
+def _emit(fmt: str, record: dict) -> None:
+    record = _jsonable(record)
+    if fmt == "json":
+        print(json.dumps(record, sort_keys=True, separators=(",", ":")))
         return
     outputs = record["outputs"]
-    if bare_key is not None and list(outputs) == [bare_key]:
-        print(_fmt(outputs[bare_key]))
-        return
-    for key, value in outputs.items():
-        if key == "levels":
-            for level in value:
-                print(f"level {_fmt(level['level'])}: dims={_fmt(level['dims'])} mult={_fmt(level['mult'])}")
-        else:
-            print(f"{key} = {_fmt(value)}")
+    if "levels" in outputs:
+        for level in outputs["levels"]:
+            print(f"level {level['level']}: dims={_text(level['dims'])} mult={_text(level['mult'])}")
+    elif len(outputs) == 1:
+        (value,) = outputs.values()
+        print(_text(value))
+    else:
+        for key, value in outputs.items():
+            print(f"{key} = {_text(value)}")
 
 
-def cmd_eval(args) -> tuple[dict, str | None]:
+def cmd_eval(args) -> dict:
     cf = parse_cf(args.cf)
-    value = eval_cf(cf)
-    record = {
-        "command": "eval",
-        "inputs": {"cf": render_cf(cf)},
-        "outputs": {"value": value},
+    return {"inputs": {"cf": render_cf(cf)}, "outputs": {"value": eval_cf(cf)}}
+
+
+def cmd_invariant(args) -> dict:
+    inv = rational_to_invariant(parse_rational(args.r))
+    return {
+        "inputs": {"r": inv.theta},
+        "outputs": {"n": inv.n, "m": inv.m, "k": inv.k.entries, "theta": inv.theta},
     }
-    return record, "value"
 
 
-def cmd_invariant(args) -> tuple[dict, str | None]:
-    r = parse_rational(args.r)
-    inv = rational_to_invariant(r)
-    record = {
-        "command": "invariant",
-        "inputs": {"r": str(inv.theta)},
-        "outputs": {
-            "n": inv.n,
-            "m": inv.m,
-            "k": list(inv.k.entries),
-            "theta": inv.theta,
-        },
-    }
-    return record, None
-
-
-def cmd_rational(args) -> tuple[dict, str | None]:
+def cmd_rational(args) -> dict:
     k = invariant_to_k(args.n, args.m)
     theta = invariant_to_rational(args.n, args.m)
-    record = {
-        "command": "rational",
-        "inputs": {"n": args.n, "m": args.m},
-        "outputs": {"theta": theta, "k": list(k.entries)},
-    }
-    return record, None
+    return {"inputs": {"n": args.n, "m": args.m}, "outputs": {"theta": theta, "k": k.entries}}
 
 
-def cmd_oracle(args) -> tuple[dict, str | None]:
-    k = KSequence(tuple(_nonneg_csv(args.k, "k-sequence")))
+def cmd_oracle(args) -> dict:
+    k = KSequence(tuple(_ints_csv(args.k, what="k-sequence")))
     cap = args.cap if args.cap is not None else DEFAULT_CAP
     counts = path_counts(k)
     enumerated = [len(enumerate_paths(k, f, cap=cap)) for f in range(k.h + 1)]
     defect = sum((k.h - f) * c for f, c in enumerate(enumerated))
     _, m = k_to_invariant(k)
-    match = enumerated == list(counts.per_length) and defect == m
-    record = {
-        "command": "oracle",
-        "inputs": {"k": list(k.entries)},
+    return {
+        "inputs": {"k": k.entries},
         "outputs": {
-            "psi": list(counts.per_length),
-            "phi": list(counts.cumulative),
+            "psi": counts.per_length,
+            "phi": counts.cumulative,
             "defect": defect,
             "enumerated_counts": enumerated,
-            "match": match,
+            "match": enumerated == list(counts.per_length) and defect == m,
         },
     }
-    return record, None
 
 
-def cmd_group(args) -> tuple[dict, str | None]:
-    a_plus, a_minus = _ints_csv(args.a, count=2, what="index pair")
-    q = build_quotient((a_plus, a_minus), args.n)
+def cmd_group(args) -> dict:
+    q = build_quotient(tuple(_ints_csv(args.a, count=2, what="index pair")), args.n)
     kwargs = {"cap": args.cap} if args.cap is not None else {}
     bf = brute_force_quotient(q.a, q.n, **kwargs)
-    record = {
-        "command": "group",
-        "inputs": {"a": list(q.a), "n": q.n},
+    return {
+        "inputs": {"a": q.a, "n": q.n},
         "outputs": {
             "c": q.c,
             "d": q.d,
             "order": bf.order,
-            "generator_images": [list(project((1, 0), q)), list(project((0, 1), q))],
+            "generator_images": [project((1, 0), q), project((0, 1), q)],
             "oracle_match": bf.order == q.order and projection_matches_brute_force(q, bf),
         },
     }
-    return record, None
 
 
-def cmd_iso(args) -> tuple[dict, str | None]:
+def cmd_iso(args) -> dict:
     e = _descriptor(args.e)
     f = _descriptor(args.f)
-    record = {
-        "command": "iso",
+    return {
         "inputs": {
-            "e": {"n": e.n, "a": list(e.index), "defects": list(e.defects)},
-            "f": {"n": f.n, "a": list(f.index), "defects": list(f.defects)},
+            "e": {"n": e.n, "a": e.index, "defects": e.defects},
+            "f": {"n": f.n, "a": f.index, "defects": f.defects},
         },
         "outputs": {"isomorphic": is_isomorphic(e, f)},
     }
-    return record, "isomorphic"
 
 
-def cmd_tensor(args) -> tuple[dict, str | None]:
+def cmd_tensor(args) -> dict:
     e = ExtensionDescriptor(n=args.n, index=(-1, 1), defects=(args.m, 0))
     p, l = tensor_factor(e, args.t)
-    record = {
-        "command": "tensor",
-        "inputs": {"n": args.n, "m": args.m, "t": args.t},
-        "outputs": {"p": p, "l": l},
-    }
-    return record, None
+    return {"inputs": {"n": args.n, "m": args.m, "t": args.t}, "outputs": {"p": p, "l": l}}
 
 
-def cmd_tower(args) -> tuple[dict, str | None]:
+def cmd_tower(args) -> dict:
     r = parse_rational(args.r)
     cf = expand_simple(r, args.parity)
     depth = args.depth if args.depth is not None else len(cf.terms)
-    levels = dimension_tower(cf, depth)
-    record = {
-        "command": "tower",
-        "inputs": {"r": str(Fraction(r)), "parity": args.parity, "cf": render_cf(cf)},
-        "outputs": {
-            "levels": [
-                {
-                    "level": lv.level,
-                    "dims": list(lv.dims),
-                    "mult": [list(row) for row in lv.mult] if lv.mult is not None else None,
-                }
-                for lv in levels
-            ]
-        },
+    levels = [
+        {"level": lv.level, "dims": lv.dims, "mult": lv.mult}
+        for lv in dimension_tower(cf, depth)
+    ]
+    return {
+        "inputs": {"r": r, "parity": args.parity, "cf": render_cf(cf)},
+        "outputs": {"levels": levels},
     }
-    return record, None
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -300,43 +235,28 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _join_flag_values(argv: list[str]) -> list[str]:
-    # argparse would read a value like "-1,1" as an option; fold it into "--a=-1,1".
-    out = []
-    i = 0
-    while i < len(argv):
-        if argv[i] in ("--a", "--e", "--f", "--k") and i + 1 < len(argv):
-            out.append(f"{argv[i]}={argv[i + 1]}")
-            i += 2
-        else:
-            out.append(argv[i])
-            i += 1
-    # a negative fraction in positional spot ("-1/2") also looks like an option;
-    # everything from the first one on is positional
-    for i, tok in enumerate(out):
-        if tok == "--":
-            break
-        if re.fullmatch(r"-\d+/\d+", tok):
-            return out[:i] + ["--"] + out[i:]
-    return out
-
-
 def main(argv=None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
-    parser = _build_parser()
-    args = parser.parse_args(_join_flag_values(list(argv)))
+    # argparse reads any token that starts with "-" as an option, so a leading
+    # space keeps values such as "-1,1" and "-1/2" in place; int(), _ints_csv
+    # and parse_rational all ignore it.
+    argv = [" " + a if re.match(r"-\d", a) else a for a in (sys.argv[1:] if argv is None else argv)]
+    # integers of any size: lift the int/str digit limit (Python >= 3.10.7) for this run
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
     try:
-        record, bare_key = args.handler(args)
+        args = _build_parser().parse_args(argv)
+        _emit(args.format, {"command": args.subcommand, **args.handler(args)})
+        return 0
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    _emit(args, record, bare_key)
-    return 0
-
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
 
 if __name__ == "__main__":
     sys.exit(main())

@@ -78,7 +78,8 @@ def rational_to_invariant(r) -> RationalInvariant:
         raise DomainError(f"rational_to_invariant requires 0 <= r < 1, got {theta}")
     k = simple_to_k(expand_simple(theta, "even"))
     n, m = k_to_invariant(k)
-    assert n == theta.denominator
+    if n != theta.denominator:
+        raise AssertionError(f"forward map gave n={n} for {theta}")
     return RationalInvariant(n=n, m=m, k=k, theta=theta)
 
 
@@ -90,7 +91,7 @@ def invariant_to_k(n: int, m: int) -> KSequence:
     the quotients, reversed, give the k-sequence (the last one less 1 becomes
     k_1).
     """
-    if not (isinstance(n, int) and isinstance(m, int)):
+    if not (type(n) is int and type(m) is int):
         raise DomainError("n and m must be integers")
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
@@ -109,11 +110,13 @@ def invariant_to_k(n: int, m: int) -> KSequence:
     consumed = rem  # r_1 + ... + r_l so far
     while rem != 0:
         divisor = m - consumed
-        assert divisor > 0
+        if divisor <= 0:
+            raise AssertionError(f"Euclid scheme ran out of divisor at ({n}, {m})")
         ql, rem = divmod(rem, divisor)
         quotients.append(ql)
         consumed += rem
-    assert m - consumed == 1  # the scheme bottoms out at 1 for coprime input
+    if m - consumed != 1:  # the scheme bottoms out at 1 for coprime input
+        raise AssertionError(f"Euclid scheme ended at {m - consumed}, not 1, for ({n}, {m})")
     entries = quotients[::-1]
     entries[0] -= 1
     return KSequence(tuple(entries))
@@ -122,7 +125,8 @@ def invariant_to_k(n: int, m: int) -> KSequence:
 def invariant_to_rational(n: int, m: int) -> Fraction:
     """The rational in [0,1) attached to an invariant pair; denominator is n."""
     theta = k_value(invariant_to_k(n, m))
-    assert theta.denominator == n
+    if theta.denominator != n:
+        raise AssertionError(f"reverse map gave {theta} for n={n}")
     return theta
 
 

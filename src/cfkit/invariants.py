@@ -55,12 +55,15 @@ class ExtensionDescriptor:
     defects: DefectPair
 
     def __post_init__(self):
+        index, defects = tuple(self.index), tuple(self.defects)
+        if not (len(index) == len(defects) == 2 and all(type(x) is int for x in (self.n, *index, *defects))):
+            raise DomainError(f"n and the index and defect pairs must be integers, got {self!r}")
         if self.n < 1:
             raise DomainError(f"matrix size n must be >= 1, got {self.n}")
-        if self.defects[0] < 0 or self.defects[1] < 0:
-            raise DomainError(f"defects must be >= 0, got {self.defects}")
-        object.__setattr__(self, "index", (int(self.index[0]), int(self.index[1])))
-        object.__setattr__(self, "defects", (int(self.defects[0]), int(self.defects[1])))
+        if defects[0] < 0 or defects[1] < 0:
+            raise DomainError(f"defects must be >= 0, got {defects}")
+        object.__setattr__(self, "index", index)
+        object.__setattr__(self, "defects", defects)
 
 
 @dataclass(frozen=True)
@@ -88,9 +91,17 @@ def _bezout_companion(a_prime: IndexPair) -> IndexPair:
     return (b_plus, b_minus)
 
 
+def _index_pair(a, n) -> IndexPair:
+    """``a`` as a tuple, after checking that it and ``n`` hold only integers."""
+    a = tuple(a)
+    if not (len(a) == 2 and all(type(x) is int for x in (*a, n))):
+        raise DomainError(f"index pair and n must be integers, got a={a!r}, n={n!r}")
+    return a
+
+
 def build_quotient(a: IndexPair, n: int) -> QuotientGroup:
     """Construct the presentation of Z^2/(Za + nZ^2) for a != (0,0), n >= 1."""
-    a = (int(a[0]), int(a[1]))
+    a = _index_pair(a, n)
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
     if a == (0, 0):
@@ -235,7 +246,7 @@ def brute_force_quotient(a: IndexPair, n: int, cap: int = BRUTE_FORCE_CAP) -> Br
     reducing t over 0..n-1 suffices because n*a lies in nZ^2.  Work grows
     like n^3, hence the cap.
     """
-    a = (int(a[0]), int(a[1]))
+    a = _index_pair(a, n)
     if a == (0, 0):
         raise DomainError("degenerate index (0, 0)")
     if n < 1:

@@ -1,6 +1,13 @@
 import json
+import shlex
+import sys
+from pathlib import Path
+
+import pytest
 
 from cfkit.cli import main
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run(capsys, *argv):
@@ -46,6 +53,13 @@ def test_invariant_domain_error_exits_1(capsys):
     assert code == 1 and "error" in err
 
 
+def test_negative_rational_before_flags_exits_1(capsys):
+    code, out, err = run(capsys, "invariant", "-1/2", "--format", "json")
+    assert code == 1 and out == "" and "0 <= r < 1" in err
+    code, out, err = run(capsys, "tower", "-2/5", "--parity", "odd")
+    assert code == 1 and out == "" and "0 <= r < 1" in err
+
+
 def test_invariant_bad_literal_exits_2(capsys):
     code, _, err = run(capsys, "invariant", "two fifths")
     assert code == 2 and "parse error" in err
@@ -85,6 +99,9 @@ def test_oracle_cap_exits_1(capsys):
 
 def test_group_command(capsys):
     code, out, _ = run(capsys, "group", "--a", "-1,1", "--n", "5")
+    assert code == 0
+    assert "d = 1" in out and "order = 5" in out and "oracle_match = true" in out
+    code, out, _ = run(capsys, "group", "--a", "-1,-1", "--n", "5")
     assert code == 0
     assert "d = 1" in out and "order = 5" in out and "oracle_match = true" in out
 
@@ -162,3 +179,25 @@ def test_json_tower_levels(capsys):
 def test_eval_json_inf(capsys):
     code, out, _ = run(capsys, "eval", "[1,0]", "--format", "json")
     assert json.loads(out)["outputs"]["value"] == "inf"
+
+
+def test_integers_beyond_the_str_digit_limit(capsys):
+    # digits built as text, so no int/str conversion happens in the test itself
+    num, den = "1" + "0" * 4400, "1" + "0" * 4399 + "1"
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    code, out, err = run(capsys, "invariant", f"{num}/{den}", "--format", "json")
+    assert code == 0, err
+    assert json.loads(out)["outputs"]["n"] == den
+    if limit is not None:
+        assert sys.get_int_max_str_digits() == limit
+
+
+def _readme_commands():
+    block = README.read_text().split("## Command line", 1)[1].split("```text", 1)[1].split("```", 1)[0]
+    return [shlex.split(line.split("#", 1)[0])[1:] for line in block.splitlines() if line.startswith("cfkit ")]
+
+
+@pytest.mark.parametrize("argv", _readme_commands(), ids=" ".join)
+def test_readme_examples_exit_0(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 0 and out and not err

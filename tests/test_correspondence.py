@@ -1,8 +1,13 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from math import gcd
+from pathlib import Path
 
 import pytest
 
+import cfkit
 from cfkit.contfrac import ContinuedFraction, KSequence, expand_simple, k_value
 from cfkit.correspondence import (
     dimension_tower,
@@ -71,6 +76,41 @@ def test_inverse_euclid_validation():
         invariant_to_k(1, 1)
     with pytest.raises(DomainError):
         invariant_to_k(0, 0)
+    with pytest.raises(DomainError):
+        invariant_to_k(True, False)  # bool is not an integer here
+    with pytest.raises(DomainError):
+        invariant_to_k(5.0, 2)
+
+
+_OFF_BY_ONE = """
+import dataclasses
+from fractions import Fraction
+import cfkit.correspondence as c
+
+assert not __debug__, "expected python -O"
+real = c.path_counts
+
+def off_by_one(k, upto=None):
+    counts = real(k, upto)
+    cumulative = list(counts.cumulative)
+    cumulative[k.h] += 1
+    return dataclasses.replace(counts, cumulative=tuple(cumulative))
+
+c.path_counts = off_by_one
+try:
+    c.rational_to_invariant(Fraction(2, 5))
+except AssertionError as exc:
+    print("raised:", exc)
+else:
+    raise SystemExit("no error for a wrong n")
+"""
+
+
+def test_result_guards_survive_optimize_flag():
+    env = dict(os.environ, PYTHONPATH=str(Path(cfkit.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-O", "-c", _OFF_BY_ONE], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("raised: forward map gave n=6")
 
 
 def test_round_trip_rationals_small():

@@ -45,6 +45,10 @@ def test_build_rejects_degenerate_index():
         build_quotient((0, 0), 4)
     with pytest.raises(DomainError):
         build_quotient((1, 1), 0)
+    with pytest.raises(DomainError):
+        build_quotient((1.5, 1), 5)  # not truncated to (1, 1)
+    with pytest.raises(DomainError):
+        build_quotient((1, 1), True)
 
 
 @given(index_pairs, st.integers(1, 30))
@@ -113,6 +117,10 @@ def test_brute_force_cap():
         brute_force_quotient((1, 2), 100, cap=50)
     with pytest.raises(DomainError):
         brute_force_quotient((0, 0), 3)
+    with pytest.raises(DomainError):
+        brute_force_quotient((1.5, 1), 5)
+    with pytest.raises(DomainError):
+        brute_force_quotient((1, 1), 5.0)
 
 
 def test_brute_force_table_is_a_group():
@@ -221,3 +229,10 @@ def test_descriptor_validation():
         ExtensionDescriptor(0, (-1, 1), (0, 0))
     with pytest.raises(DomainError):
         ExtensionDescriptor(3, (-1, 1), (-1, 0))
+    with pytest.raises(DomainError):
+        ExtensionDescriptor(n=5, index=(-1.9, 1), defects=(0.5, 2))  # not truncated
+    with pytest.raises(DomainError):
+        ExtensionDescriptor(n=5.0, index=(-1, 1), defects=(0, 2))
+    with pytest.raises(DomainError):
+        ExtensionDescriptor(n=5, index=(-1, 1), defects=(True, 2))
+    assert ExtensionDescriptor(n=5, index=[-1, 1], defects=[0, 2]).index == (-1, 1)
