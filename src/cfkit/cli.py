@@ -4,9 +4,11 @@ Every subcommand prints a stable record: human-readable ``key = value``
 lines by default, or, with ``--format json``, a single JSON object
 ``{"command", "inputs", "outputs"}`` in which every integer is rendered as a
 decimal string so arbitrary precision survives the trip.  Integers of any
-size are accepted, and negative values such as ``-1,1`` or ``-1/2`` may
-stand anywhere in the argument list.  Exit codes: 0 on success, 1 on domain
-errors (precondition violations), 2 on parse errors.
+size are accepted up to ``MAX_LITERAL_DIGITS`` (100 000) digits per
+integer literal, and negative values such as ``-1,1`` or ``-1/2`` may stand
+anywhere in the argument list.  Exit codes: 0 on success, 1 on domain errors
+(precondition violations, and literals longer than the digit bound), 2 on
+parse errors.
 """
 
 from __future__ import annotations
@@ -36,6 +38,11 @@ from .invariants import (
 )
 from .literals import ParseError, parse_cf, parse_rational, render_cf
 from .paths import DEFAULT_CAP, enumerate_paths, path_counts
+
+# Digits allowed in one integer literal.  int/str conversion is quadratic in
+# the digit count: `invariant` on two 100 000-digit literals takes about 1.5 s,
+# and 10**6 digits would take minutes.
+MAX_LITERAL_DIGITS = 100_000
 
 
 def _ints_csv(text: str, *, count: int | None = None, what: str = "integer list") -> list[int]:
@@ -232,19 +239,32 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--depth", type=int, default=None)
     p.set_defaults(handler=cmd_tower)
 
+    # argparse reads a token that starts with "-" as an option unless this
+    # pattern matches it.  No option here looks like a negative number, so
+    # every "-<digit>" token is a value (such as -1,1 or -1/2), kept as typed.
+    negative = re.compile(r"-\d")
+    for p in (parser, *sub.choices.values()):
+        p._negative_number_matcher = negative
     return parser
 
 
+def _check_literal_digits(argv) -> None:
+    for token in argv:
+        digits = max(map(len, re.findall(r"\d+", token)), default=0)
+        if digits > MAX_LITERAL_DIGITS:
+            raise DomainError(f"an integer literal has {digits} digits; "
+                              f"at most {MAX_LITERAL_DIGITS} are accepted")
+
+
 def main(argv=None) -> int:
-    # argparse reads any token that starts with "-" as an option, so a leading
-    # space keeps values such as "-1,1" and "-1/2" in place; int(), _ints_csv
-    # and parse_rational all ignore it.
-    argv = [" " + a if re.match(r"-\d", a) else a for a in (sys.argv[1:] if argv is None else argv)]
-    # integers of any size: lift the int/str digit limit (Python >= 3.10.7) for this run
+    argv = sys.argv[1:] if argv is None else argv
+    # Literals are bounded by MAX_LITERAL_DIGITS; results (eval's, say) can be
+    # longer, so lift the int/str digit limit (Python >= 3.10.7) for this run.
     limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
     if limit is not None:
         sys.set_int_max_str_digits(0)
     try:
+        _check_literal_digits(argv)
         args = _build_parser().parse_args(argv)
         _emit(args.format, {"command": args.subcommand, **args.handler(args)})
         return 0

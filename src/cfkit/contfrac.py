@@ -137,7 +137,8 @@ def expand_simple(r, parity: Parity) -> ContinuedFraction:
         terms.append(den // num)
         den, num = num, den % num
     # Euclid always ends with a term >= 2 for r in (0,1).
-    assert terms[-1] >= 2
+    if terms[-1] < 2:
+        raise AssertionError(f"Euclid expansion of {r} ended in {terms[-1]}")
     if (len(terms) % 2 == 0) != (parity == "even"):
         terms[-1] -= 1
         terms.append(1)
@@ -203,12 +204,13 @@ def k_value(k: KSequence) -> Fraction:
     """
     if k.h == 0:
         return Fraction(0)
-    terms: list[int] = [0]
-    for e in k.entries:
-        terms.extend((1, e))
+    terms = [1] * (2 * k.h + 1)
+    terms[0] = 0
+    terms[2::2] = k.entries
     v = eval_terms(terms)
-    assert v.is_finite and 0 <= v.value < 1
-    return v.value
+    if not (v.is_finite and 0 <= (value := v.value) < 1):
+        raise AssertionError(f"k_value of {k} gave {v}, outside [0, 1)")
+    return value
 
 
 def k_value_bounds(k_prefix: Sequence[int], depth: int) -> tuple[Fraction, Fraction]:
@@ -236,7 +238,8 @@ def k_value_bounds(k_prefix: Sequence[int], depth: int) -> tuple[Fraction, Fract
     lo = eval_terms([0, *simple_terms])
     gap_min = depth - last_support + 1
     hi = eval_terms([0, *simple_terms, gap_min])
-    assert lo.is_finite and hi.is_finite
+    if not (lo.is_finite and hi.is_finite):
+        raise AssertionError(f"bounds for {entries[:depth]} at depth {depth} are {lo}, {hi}")
     return lo.value, hi.value
 
 

@@ -12,17 +12,21 @@ needed by continued-fraction evaluation are addition and reciprocal, with
     inf + inf = undefined
 
 ``undefined`` is an absorbing value rather than an exception, so evaluation
-stays total; callers that must not see it assert on the result.  All values
-are immutable and all operations pure.
+stays total; callers that must not see it check the result.  All values are
+immutable and all operations pure.
 
-Rationals themselves are :class:`fractions.Fraction`, which already stores
-every value reduced with a positive denominator and compares in real-number
-order, so no separate rational type is defined here.
+An extended rational stores an integer pair ``(num, den)``: a finite value is
+reduced with ``den > 0``, ``inf`` is ``(1, 0)`` and ``undefined`` is
+``(0, 0)``.  Addition and reciprocal work on these integers alone, so a
+continued-fraction fold builds no :class:`fractions.Fraction`; the finite
+value is handed out as a ``Fraction`` only when :attr:`ExtendedRational.value`
+is read, and rationals elsewhere in the package are ``Fraction`` throughout.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd as _gcd
 from numbers import Rational as _RationalABC
 
 Rational = Fraction
@@ -40,43 +44,52 @@ class ExtendedRational:
     to obtain instances.
     """
 
-    __slots__ = ("_kind", "_value")
+    __slots__ = ("_num", "_den")
 
-    def __init__(self, kind: int, value: Fraction | None):
-        object.__setattr__(self, "_kind", kind)
-        object.__setattr__(self, "_value", value)
+    def __new__(cls, kind: int, value):
+        if kind == _FINITE:
+            return finite(value)
+        if kind == _INFINITE:
+            return INFINITY
+        if kind == _UNDEFINED:
+            return UNDEFINED
+        raise ValueError(f"unknown ExtendedRational kind {kind!r}")
 
     def __setattr__(self, name, value):
         raise AttributeError("ExtendedRational is immutable")
 
+    def __delattr__(self, name):
+        raise AttributeError("ExtendedRational is immutable")
+
     @property
     def is_finite(self) -> bool:
-        return self._kind == _FINITE
+        return self._den != 0
 
     @property
     def is_infinite(self) -> bool:
-        return self._kind == _INFINITE
+        return self._den == 0 and self._num != 0
 
     @property
     def is_undefined(self) -> bool:
-        return self._kind == _UNDEFINED
+        return self._den == 0 and self._num == 0
 
     @property
     def value(self) -> Fraction:
         """The finite rational value; raises on ``inf`` and ``undefined``."""
-        if self._kind != _FINITE:
+        if self._den == 0:
             raise ValueError(f"no finite value: {self}")
-        return self._value
+        return Fraction(self._num, self._den)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, ExtendedRational):
-            return self._kind == other._kind and self._value == other._value
+            return self._num == other._num and self._den == other._den
         if isinstance(other, _RationalABC):
-            return self._kind == _FINITE and self._value == other
+            return self._den == other.denominator and self._num == other.numerator
         return NotImplemented
 
     def __hash__(self):
-        return hash((self._kind, self._value))
+        # A finite value hashes as the equal Fraction does.
+        return hash(self.value) if self._den else hash((self._num, self._den))
 
     def __add__(self, other):
         return add(self, as_extended(other))
@@ -87,26 +100,43 @@ class ExtendedRational:
         return f"ExtendedRational({self})"
 
     def __str__(self) -> str:
-        if self._kind == _INFINITE:
-            return "inf"
-        if self._kind == _UNDEFINED:
-            return "undefined"
-        return str(self._value)
+        if self._den == 1:
+            return str(self._num)
+        if self._den:
+            return f"{self._num}/{self._den}"
+        return "inf" if self._num else "undefined"
 
 
-INFINITY = ExtendedRational(_INFINITE, None)
-UNDEFINED = ExtendedRational(_UNDEFINED, None)
+# The slot descriptors' setters bypass the __setattr__ that keeps instances immutable.
+_new = object.__new__
+_set_num = ExtendedRational._num.__set__
+_set_den = ExtendedRational._den.__set__
+
+
+def _make(num: int, den: int) -> ExtendedRational:
+    """The one constructor: ``(num, den)`` must already be in the stored form."""
+    x = _new(ExtendedRational)
+    _set_num(x, num)
+    _set_den(x, den)
+    return x
+
+
+INFINITY = _make(1, 0)
+UNDEFINED = _make(0, 0)
 
 
 def finite(x) -> ExtendedRational:
-    """Wrap an int or Fraction as a finite extended rational."""
-    # Fraction is immutable, so an existing one can be shared as-is.
+    """Wrap an int or Fraction (or anything ``Fraction`` accepts) as a finite extended rational."""
+    if type(x) is int:
+        return _make(x, 1)
     value = x if type(x) is Fraction else Fraction(x)
-    return ExtendedRational(_FINITE, value)
+    return _make(value.numerator, value.denominator)
 
 
 def as_extended(x) -> ExtendedRational:
     """Coerce ints and Fractions; pass ExtendedRational through."""
+    if type(x) is int:
+        return _make(x, 1)
     if isinstance(x, ExtendedRational):
         return x
     return finite(x)
@@ -114,23 +144,33 @@ def as_extended(x) -> ExtendedRational:
 
 def add(x: ExtendedRational, y: ExtendedRational) -> ExtendedRational:
     """Partial addition: finite+finite exactly, finite+inf = inf, inf+inf undefined."""
-    x, y = as_extended(x), as_extended(y)
-    if x.is_undefined or y.is_undefined:
+    if type(x) is not ExtendedRational:
+        x = as_extended(x)
+    if type(y) is not ExtendedRational:
+        y = as_extended(y)
+    a, b, c, d = x._num, x._den, y._num, y._den
+    if b and d:
+        # a/b + c/d with b == 1 is (a*d + c)/d, already reduced: gcd(a*d + c, d) = gcd(c, d) = 1.
+        if b == 1:
+            return _make(a * d + c, d)
+        if d == 1:
+            return _make(c * b + a, b)
+        num, den = a * d + c * b, b * d
+        g = _gcd(num, den)
+        return _make(num // g, den // g)
+    if x.is_undefined or y.is_undefined or b == d:  # b == d == 0: inf + inf
         return UNDEFINED
-    if x.is_infinite and y.is_infinite:
-        return UNDEFINED
-    if x.is_infinite or y.is_infinite:
-        return INFINITY
-    return finite(x.value + y.value)
+    return INFINITY
 
 
 def reciprocal(x: ExtendedRational) -> ExtendedRational:
     """Partial reciprocal: 1/0 = inf and 1/inf = 0; undefined is absorbing."""
-    x = as_extended(x)
-    if x.is_undefined:
-        return UNDEFINED
-    if x.is_infinite:
-        return finite(0)
-    if x.value == 0:
-        return INFINITY
-    return finite(1 / x.value)
+    if type(x) is not ExtendedRational:
+        x = as_extended(x)
+    num, den = x._num, x._den
+    # Swapping a reduced pair keeps it reduced; inf = (1, 0) swaps to 0 = (0, 1).
+    if num > 0:
+        return _make(den, num)
+    if num < 0:
+        return _make(-den, -num)
+    return INFINITY if den else UNDEFINED

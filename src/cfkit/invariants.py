@@ -87,7 +87,8 @@ def _bezout_companion(a_prime: IndexPair) -> IndexPair:
     else:
         b_plus = pow(am, -1, abs(ap))
         b_minus = (am * b_plus - 1) // ap
-    assert -ap * b_minus + am * b_plus == 1
+    if -ap * b_minus + am * b_plus != 1:
+        raise AssertionError(f"companion ({b_plus}, {b_minus}) of {a_prime} breaks the pairing")
     return (b_plus, b_minus)
 
 

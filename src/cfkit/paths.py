@@ -131,7 +131,9 @@ def enumerate_paths(k: KSequence, length: int, cap: int = DEFAULT_CAP) -> list[P
                 for w in words
                 for e in (after_beta if w and w[-1].kind == "beta" else anywhere)
             ]
-    assert len(words) == counts.per_length[length]
+    if len(words) != counts.per_length[length]:
+        raise AssertionError(f"enumerated {len(words)} words of length {length}, "
+                             f"counted {counts.per_length[length]}")
     return words
 
 

@@ -192,6 +192,33 @@ def test_integers_beyond_the_str_digit_limit(capsys):
         assert sys.get_int_max_str_digits() == limit
 
 
+def test_literal_digit_bound(capsys):
+    bound = 100_000  # documented in README "Command line"
+    code, out, _ = run(capsys, "rational", "--n", "1" * 5000 + "3", "--m", "2", "--format", "json")
+    assert code == 0 and json.loads(out)["outputs"]["theta"].endswith("/" + "1" * 5000 + "3")
+    at_bound = "1" + "0" * (bound - 1)
+    code, _, err = run(capsys, "invariant", at_bound)
+    assert code == 1 and "0 <= r < 1" in err
+    code, out, err = run(capsys, "invariant", f"1/{at_bound}1")
+    assert code == 1 and out == ""
+    assert err == (f"error: an integer literal has {bound + 1} digits;"
+                   f" at most {bound} are accepted\n")
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["eval", "-1"], "parse error: expected '[', found '-1' (at position 0)"),
+    (["oracle", "--k", "-1,x"], "found '-1,x' (at position 0)"),
+    (["group", "--a", "-1,x", "--n", "5"], "found '-1,x' (at position 0)"),
+    (["rational", "--n", "-5x", "--m", "2"], "argument --n: invalid int value: '-5x'"),
+], ids=["eval", "oracle", "group", "rational"])
+def test_malformed_negative_values_read_as_typed(capsys, argv, message):
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse reports its own errors this way
+        code = exc.code
+    assert code == 2 and message in capsys.readouterr().err
+
+
 def _readme_commands():
     block = README.read_text().split("## Command line", 1)[1].split("```text", 1)[1].split("```", 1)[0]
     return [shlex.split(line.split("#", 1)[0])[1:] for line in block.splitlines() if line.startswith("cfkit ")]

@@ -103,6 +103,18 @@ except AssertionError as exc:
     print("raised:", exc)
 else:
     raise SystemExit("no error for a wrong n")
+
+import cfkit.contfrac as cf
+from cfkit.exact import add
+
+real_eval = cf.eval_terms
+cf.eval_terms = lambda values: add(real_eval(values), 1)  # the k_value fold, one too high
+try:
+    c.invariant_to_rational(2, 1)
+except AssertionError as exc:
+    print("raised:", exc)
+else:
+    raise SystemExit("no error for a k_value outside [0, 1)")
 """
 
 
@@ -110,7 +122,9 @@ def test_result_guards_survive_optimize_flag():
     env = dict(os.environ, PYTHONPATH=str(Path(cfkit.__file__).parents[1]))
     proc = subprocess.run([sys.executable, "-O", "-c", _OFF_BY_ONE], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.startswith("raised: forward map gave n=6")
+    forward, fold = proc.stdout.splitlines()
+    assert forward.startswith("raised: forward map gave n=6")
+    assert fold == "raised: k_value of (1) gave 3/2, outside [0, 1)"
 
 
 def test_round_trip_rationals_small():

@@ -4,9 +4,22 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cfkit.exact import INFINITY, UNDEFINED, add, as_extended, finite, reciprocal
+from cfkit.contfrac import KSequence, eval_cf, k_to_simple, k_value
+from cfkit.exact import (
+    _FINITE,
+    _INFINITE,
+    _UNDEFINED,
+    INFINITY,
+    UNDEFINED,
+    ExtendedRational,
+    add,
+    as_extended,
+    finite,
+    reciprocal,
+)
 
 rationals = st.fractions(max_denominator=10**6)
+non_integers = rationals.filter(lambda f: f.denominator != 1)
 extendeds = st.one_of(
     rationals.map(finite),
     st.just(INFINITY),
@@ -69,6 +82,11 @@ def test_immutability():
     x = finite(1)
     with pytest.raises(AttributeError):
         x._kind = 2
+    with pytest.raises(AttributeError):
+        x._num = 5
+    with pytest.raises(AttributeError):
+        del x._den
+    assert x == 1
 
 
 @given(extendeds, extendeds)
@@ -96,3 +114,123 @@ def test_adding_reciprocal_of_infinity_is_identity(x):
 @given(st.integers(), st.integers())
 def test_as_extended_coerces_ints_exactly(a, b):
     assert add(as_extended(a), as_extended(b)) == finite(a + b)
+
+
+# --- integer-pair arithmetic against Fraction --------------------------------
+
+
+@given(rationals, rationals)
+def test_add_agrees_with_fraction(x, y):
+    s = add(finite(x), finite(y))
+    assert s == x + y and str(s) == str(x + y)
+
+
+@given(non_integers, non_integers)
+def test_add_without_a_unit_denominator_reduces(x, y):
+    s = add(finite(x), finite(y))
+    assert s == x + y and str(s) == str(x + y)
+
+
+@given(st.integers(), rationals)
+def test_add_integer_term_agrees_with_fraction(n, y):
+    # the continued-fraction fold adds a bare int term to an extended rational
+    assert add(n, finite(y)) == n + y
+    assert add(finite(y), n) == y + n
+
+
+@given(rationals.filter(bool))
+def test_reciprocal_agrees_with_fraction(x):
+    r = reciprocal(finite(x))
+    assert r == 1 / x and str(r) == str(1 / x)
+    assert reciprocal(finite(-x)) == -1 / x
+
+
+_HALF = finite(Fraction(-3, 2))
+
+
+@pytest.mark.parametrize("x,y,expected", [
+    (_HALF, INFINITY, INFINITY),
+    (INFINITY, _HALF, INFINITY),
+    (0, INFINITY, INFINITY),
+    (INFINITY, INFINITY, UNDEFINED),
+    (_HALF, UNDEFINED, UNDEFINED),
+    (UNDEFINED, _HALF, UNDEFINED),
+    (0, UNDEFINED, UNDEFINED),
+    (INFINITY, UNDEFINED, UNDEFINED),
+    (UNDEFINED, INFINITY, UNDEFINED),
+    (UNDEFINED, UNDEFINED, UNDEFINED),
+])
+def test_add_table_off_the_finite_part(x, y, expected):
+    assert add(x, y) is expected
+
+
+@pytest.mark.parametrize("x,expected", [
+    (finite(0), INFINITY),
+    (0, INFINITY),
+    (INFINITY, finite(0)),
+    (UNDEFINED, UNDEFINED),
+])
+def test_reciprocal_table_off_the_finite_part(x, expected):
+    assert reciprocal(x) == expected
+    assert reciprocal(x).is_finite == expected.is_finite
+
+
+@pytest.mark.parametrize("x,kinds,text", [
+    (finite(Fraction(-3, 2)), (True, False, False), "-3/2"),
+    (finite(0), (True, False, False), "0"),
+    (INFINITY, (False, True, False), "inf"),
+    (UNDEFINED, (False, False, True), "undefined"),
+])
+def test_kind_predicates_and_text(x, kinds, text):
+    assert (x.is_finite, x.is_infinite, x.is_undefined) == kinds
+    assert str(x) == text and repr(x) == f"ExtendedRational({text})"
+
+
+@pytest.mark.parametrize("raw,expected", [
+    (3, Fraction(3)),
+    (-7, Fraction(-7)),
+    (True, Fraction(1)),
+    (False, Fraction(0)),
+    (Fraction(6, -4), Fraction(-3, 2)),
+    (0.75, Fraction(3, 4)),
+    (-0.1, Fraction(-0.1)),
+])
+def test_finite_and_as_extended_coerce_exactly(raw, expected):
+    for wrap in (finite, as_extended):
+        v = wrap(raw)
+        assert v.is_finite and v == expected and str(v) == str(expected)
+        assert type(v.value) is Fraction and v.value == expected
+        assert as_extended(v) is v
+
+
+@given(rationals)
+def test_equal_values_hash_equal(x):
+    same = [
+        finite(x),
+        as_extended(x),
+        ExtendedRational(_FINITE, x),
+        add(finite(x), finite(0)),
+        add(0, finite(x)),
+        reciprocal(reciprocal(finite(x))) if x else finite(0),
+    ]
+    for v in same:
+        assert v == same[0] and v == x
+        assert hash(v) == hash(same[0]) == hash(x)
+
+
+def test_direct_construction():
+    assert ExtendedRational(_FINITE, Fraction(2, -4)) == finite(Fraction(-1, 2))
+    assert ExtendedRational(_FINITE, 5).value == Fraction(5)
+    assert ExtendedRational(_INFINITE, None) == INFINITY
+    assert ExtendedRational(_UNDEFINED, None) == UNDEFINED
+    assert hash(ExtendedRational(_INFINITE, None)) == hash(INFINITY)
+    assert INFINITY != UNDEFINED and INFINITY != finite(1) and UNDEFINED != finite(0)
+    with pytest.raises(ValueError):
+        ExtendedRational(3, None)
+
+
+def test_k_value_of_a_long_zero_chain_matches_the_simple_form():
+    # h = 2000: the fold runs 4000 add/reciprocal steps through runs of zero terms
+    for k in (KSequence((0,) * 1999 + (1,)), KSequence((0, 3) * 999 + (0, 2))):
+        assert finite(k_value(k)) == eval_cf(k_to_simple(k))
+    assert k_value(KSequence((0,) * 1999 + (1,))) == Fraction(1, 2001)
