@@ -7,8 +7,9 @@ decimal string so arbitrary precision survives the trip.  Integers of any
 size are accepted up to ``MAX_LITERAL_DIGITS`` (100 000) digits per
 integer literal, and negative values such as ``-1,1`` or ``-1/2`` may stand
 anywhere in the argument list.  Exit codes: 0 on success, 1 on domain errors
-(precondition violations, and literals longer than the digit bound), 2 on
-parse errors.
+(precondition violations, literals longer than the digit bound, and
+k-sequences above the height bound of :mod:`cfkit.contfrac`), 2 on parse
+errors.
 """
 
 from __future__ import annotations

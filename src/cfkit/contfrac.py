@@ -19,10 +19,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Literal, Sequence
 
-from .errors import DomainError
+from .errors import CapExceeded, DomainError
 from .exact import ExtendedRational, add, as_extended, reciprocal
 
 Parity = Literal["even", "odd"]
+
+# Dense k-sequences are built only up to this height h; the entries of 1/q
+# alone number q - 1.
+_MAX_HEIGHT = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -127,22 +131,24 @@ def expand_simple(r, parity: Parity) -> ContinuedFraction:
     r = Fraction(r)
     if not 0 <= r < 1:
         raise DomainError(f"expand_simple requires 0 <= r < 1, got {r}")
-    if r == 0:
-        if parity == "odd":
-            raise DomainError("0 has no odd-parity simple expansion")
-        return ContinuedFraction(0)
+    if r == 0 and parity == "odd":
+        raise DomainError("0 has no odd-parity simple expansion")
+    return ContinuedFraction(0, tuple(_simple_terms(r.numerator, r.denominator, parity)))
+
+
+def _simple_terms(num: int, den: int, parity: Parity) -> list[int]:
+    """Terms of ``num/den`` in [0,1) by Euclid, then the parity fix; none (even) for 0."""
     terms = []
-    num, den = r.numerator, r.denominator
     while num:
         terms.append(den // num)
         den, num = num, den % num
-    # Euclid always ends with a term >= 2 for r in (0,1).
-    if terms[-1] < 2:
-        raise AssertionError(f"Euclid expansion of {r} ended in {terms[-1]}")
+    # Euclid always ends with a term >= 2 for num/den in (0,1).
+    if terms and terms[-1] < 2:
+        raise AssertionError(f"Euclid expansion ended in {terms[-1]}")
     if (len(terms) % 2 == 0) != (parity == "even"):
         terms[-1] -= 1
         terms.append(1)
-    return ContinuedFraction(0, tuple(terms))
+    return terms
 
 
 def convergents(cf: ContinuedFraction) -> list[tuple[int, int]]:
@@ -189,11 +195,19 @@ def simple_to_k(cf: ContinuedFraction) -> KSequence:
     _require_zero_head_simple(cf, "simple_to_k")
     if len(cf.terms) % 2 != 0:
         raise DomainError(f"simple_to_k requires an even number of terms, got {len(cf.terms)}")
+    return KSequence(_k_entries(cf.terms))
+
+
+def _k_entries(terms: Sequence[int]) -> tuple[int, ...]:
+    """Dense entries of an even-length simple term list; checks h = a_1 + a_3 + ... first."""
+    h = sum(terms[::2])
+    if h > _MAX_HEIGHT:
+        raise CapExceeded(f"k-sequence height h = {h} exceeds the bound {_MAX_HEIGHT} on dense entries")
     entries: list[int] = []
-    for gap, value in zip(cf.terms[::2], cf.terms[1::2]):
+    for gap, value in zip(terms[::2], terms[1::2]):
         entries += [0] * (gap - 1)
         entries.append(value)
-    return KSequence(tuple(entries))
+    return tuple(entries)
 
 
 def k_value(k: KSequence) -> Fraction:
@@ -223,24 +237,16 @@ def k_value_bounds(k_prefix: Sequence[int], depth: int) -> tuple[Fraction, Fract
     squeeze over-estimates every continuation.  Width shrinks as ``depth``
     grows, and the intervals for successive depths are nested.
     """
-    entries = [int(e) for e in k_prefix]
-    if any(e < 0 for e in entries):
-        raise DomainError("k-sequence entries must be >= 0")
+    entries = tuple(k_prefix)
+    if not all(type(e) is int and e >= 0 for e in entries):
+        raise DomainError(f"k-sequence entries must be integers >= 0, got {entries}")
     if depth < 0 or depth > len(entries):
         raise DomainError(f"depth must be within the available prefix (0..{len(entries)})")
-    truncated = KSequence(tuple(entries[:depth]))
-    if truncated.h == 0:
-        simple_terms: tuple[int, ...] = ()
-        last_support = 0
-    else:
-        simple_terms = k_to_simple(truncated).terms
-        last_support = truncated.support[-1]
-    lo = eval_terms([0, *simple_terms])
-    gap_min = depth - last_support + 1
-    hi = eval_terms([0, *simple_terms, gap_min])
-    if not (lo.is_finite and hi.is_finite):
-        raise AssertionError(f"bounds for {entries[:depth]} at depth {depth} are {lo}, {hi}")
-    return lo.value, hi.value
+    truncated = KSequence(entries[:depth])
+    simple_terms = k_to_simple(truncated).terms if truncated.h else ()
+    gap_min = depth - truncated.h + 1  # least gap to the next support point
+    *_, lo, hi = convergents(ContinuedFraction(0, (*simple_terms, gap_min)))
+    return Fraction(*lo), Fraction(*hi)
 
 
 def _check_parity(parity) -> None:

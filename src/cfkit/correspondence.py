@@ -6,13 +6,12 @@ fraction, read off the k-sequence, and run the path-counting recurrences;
 ``n`` always equals the reduced denominator and gcd(m, n) = 1, with (1, 0)
 reserved for the value 0.
 
-Reverse direction: a modified Euclidean division scheme
-
-    n   = q_0 m + r_1
-    r_l = q_l (m - r_1 - ... - r_l) + r_{l+1}
-
-run until the first zero remainder r_h recovers the k-sequence as
-k_l = q_{h-l} for l >= 2 and k_1 = q_{h-1} - 1, and from it the rational.
+Reverse direction: the invariant of ``theta = p/q`` is ``(q, -p^-1 mod q)``,
+and ``x -> -x^-1 mod q`` is its own inverse (continuant identity), so the
+k-sequence of ``(n, m)`` is read off the even simple expansion of
+``(-m^-1 mod n)/n``, the same integer expansion the forward map uses.  The
+paper's modified Euclidean division scheme, which recovers the k-sequence
+from (n, m) step by step, is kept in the tests as the oracle for this route.
 
 Also here: the two terminal matrix-dimension candidates a rational inherits
 from its two simple expansions, and the finite tower of dimension pairs
@@ -29,10 +28,10 @@ from math import gcd
 from .contfrac import (
     ContinuedFraction,
     KSequence,
+    _k_entries,
+    _simple_terms,
     convergents,
-    expand_simple,
     k_value,
-    simple_to_k,
 )
 from .errors import DomainError
 from .paths import path_counts
@@ -76,7 +75,7 @@ def rational_to_invariant(r) -> RationalInvariant:
     theta = Fraction(r)
     if not 0 <= theta < 1:
         raise DomainError(f"rational_to_invariant requires 0 <= r < 1, got {theta}")
-    k = simple_to_k(expand_simple(theta, "even"))
+    k = KSequence(_k_entries(_simple_terms(theta.numerator, theta.denominator, "even")))
     n, m = k_to_invariant(k)
     if n != theta.denominator:
         raise AssertionError(f"forward map gave n={n} for {theta}")
@@ -84,12 +83,10 @@ def rational_to_invariant(r) -> RationalInvariant:
 
 
 def invariant_to_k(n: int, m: int) -> KSequence:
-    """Recover the k-sequence of an invariant pair by modified Euclidean division.
+    """Recover the k-sequence of an invariant pair from ``theta = (-m^-1 mod n)/n``.
 
-    Valid inputs are (1, 0) and coprime pairs with 0 < m < n.  Each step
-    divides the previous remainder by m minus the remainders consumed so far;
-    the quotients, reversed, give the k-sequence (the last one less 1 becomes
-    k_1).
+    Valid inputs are (1, 0) and coprime pairs with 0 < m < n.  Raises
+    :class:`CapExceeded` when the height h exceeds the dense-entry bound.
     """
     if not (type(n) is int and type(m) is int):
         raise DomainError("n and m must be integers")
@@ -104,22 +101,7 @@ def invariant_to_k(n: int, m: int) -> KSequence:
     if gcd(m, n) != 1:
         raise DomainError(f"gcd(m, n) must be 1, got gcd({m}, {n}) = {gcd(m, n)}")
 
-    quotients = []
-    q0, rem = divmod(n, m)
-    quotients.append(q0)
-    consumed = rem  # r_1 + ... + r_l so far
-    while rem != 0:
-        divisor = m - consumed
-        if divisor <= 0:
-            raise AssertionError(f"Euclid scheme ran out of divisor at ({n}, {m})")
-        ql, rem = divmod(rem, divisor)
-        quotients.append(ql)
-        consumed += rem
-    if m - consumed != 1:  # the scheme bottoms out at 1 for coprime input
-        raise AssertionError(f"Euclid scheme ended at {m - consumed}, not 1, for ({n}, {m})")
-    entries = quotients[::-1]
-    entries[0] -= 1
-    return KSequence(tuple(entries))
+    return KSequence(_k_entries(_simple_terms(-pow(m, -1, n) % n, n, "even")))
 
 
 def invariant_to_rational(n: int, m: int) -> Fraction:
@@ -151,13 +133,12 @@ def rational_candidates(r) -> tuple[tuple[int, int], tuple[int, int]]:
 
     The two expansions of a rational in (0,1) give two natural finite
     dimension pairs; they share q_N = denominator(r).  Returned as
-    (even-parity pair, odd-parity pair).
+    (even-parity pair, odd-parity pair).  By the continuant identity these are
+    ``(q, x)`` and ``(q, q - x)`` for ``r = p/q`` and ``x = -p^-1 mod q``.
     """
     theta = Fraction(r)
     if not 0 < theta < 1:
         raise DomainError(f"rational_candidates requires 0 < r < 1, got {theta}")
-    out = []
-    for parity in ("even", "odd"):
-        qs = [q for _, q in convergents(expand_simple(theta, parity))]
-        out.append((qs[-1], qs[-2]))
-    return (out[0], out[1])
+    q = theta.denominator
+    x = -pow(theta.numerator, -1, q) % q
+    return (q, x), (q, q - x)

@@ -205,6 +205,18 @@ def test_literal_digit_bound(capsys):
                    f" at most {bound} are accepted\n")
 
 
+@pytest.mark.parametrize("argv", [
+    ["invariant", f"1/{2**200}"],
+    ["rational", "--n", str(2**200), "--m", str(2**200 - 1)],
+], ids=["invariant", "rational"])
+def test_height_bound_exits_1(capsys, argv):
+    # both have k-sequence height 2**200 - 1, far above the dense-entry bound
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("error: k-sequence height h = ") and err.count("\n") == 1
+    assert "exceeds the bound 1000000" in err
+
+
 @pytest.mark.parametrize("argv,message", [
     (["eval", "-1"], "parse error: expected '[', found '-1' (at position 0)"),
     (["oracle", "--k", "-1,x"], "found '-1,x' (at position 0)"),

@@ -248,6 +248,31 @@ def test_bounds_depth_validation():
         k_value_bounds([1], 2)
     with pytest.raises(DomainError):
         k_value_bounds([-1], 1)
+    with pytest.raises(DomainError):
+        k_value_bounds([2.7], 1)  # not truncated to 2
+    with pytest.raises(DomainError):
+        k_value_bounds([True, 1], 2)  # bool is not an integer here
+    with pytest.raises(DomainError):
+        k_value_bounds([1, 1.0], 1)  # untrusted entries are checked too
+
+
+def bounds_by_folds(prefix, depth):
+    """lo = [0; simple terms], hi = [0; simple terms, gap_min], each by one eval_terms fold."""
+    truncated = KSequence(tuple(prefix[:depth]))
+    terms = k_to_simple(truncated).terms if truncated.h else ()
+    last_support = truncated.support[-1] if truncated.h else 0
+    lo = eval_terms([0, *terms])
+    hi = eval_terms([0, *terms, depth - last_support + 1])
+    return lo.value, hi.value
+
+
+def test_bounds_match_the_two_fold_definition():
+    from itertools import product
+
+    for size in range(6):
+        for prefix in product(range(4), repeat=size):
+            for depth in range(size + 1):
+                assert k_value_bounds(prefix, depth) == bounds_by_folds(prefix, depth), (prefix, depth)
 
 
 @given(st.lists(st.integers(0, 3), min_size=1, max_size=6))

@@ -1,4 +1,5 @@
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -8,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import cfkit
-from cfkit.contfrac import ContinuedFraction, KSequence, expand_simple, k_value
+from cfkit.contfrac import ContinuedFraction, KSequence, convergents, expand_simple, k_value
 from cfkit.correspondence import (
     dimension_tower,
     invariant_to_k,
@@ -17,7 +18,7 @@ from cfkit.correspondence import (
     rational_candidates,
     rational_to_invariant,
 )
-from cfkit.errors import DomainError
+from cfkit.errors import CapExceeded, DomainError
 from cfkit.paths import defect_by_enumeration
 
 PINNED = [
@@ -80,6 +81,75 @@ def test_inverse_euclid_validation():
         invariant_to_k(True, False)  # bool is not an integer here
     with pytest.raises(DomainError):
         invariant_to_k(5.0, 2)
+
+
+# --- the modified Euclidean division scheme, as the reverse-route oracle -----
+
+def euclid_scheme_k(n: int, m: int) -> KSequence:
+    """The paper's scheme for a valid pair (n, m):
+
+        n   = q_0 m + r_1
+        r_l = q_l (m - r_1 - ... - r_l) + r_{l+1}
+
+    run until the first zero remainder r_h gives k_l = q_{h-l} for l >= 2 and
+    k_1 = q_{h-1} - 1.
+    """
+    if n == 1:
+        return KSequence()
+    quotients = []
+    q0, rem = divmod(n, m)
+    quotients.append(q0)
+    consumed = rem  # r_1 + ... + r_l so far
+    while rem != 0:
+        divisor = m - consumed
+        if divisor <= 0:
+            raise AssertionError(f"Euclid scheme ran out of divisor at ({n}, {m})")
+        ql, rem = divmod(rem, divisor)
+        quotients.append(ql)
+        consumed += rem
+    if m - consumed != 1:  # the scheme bottoms out at 1 for coprime input
+        raise AssertionError(f"Euclid scheme ended at {m - consumed}, not 1, for ({n}, {m})")
+    entries = quotients[::-1]
+    entries[0] -= 1
+    return KSequence(tuple(entries))
+
+
+def test_euclid_scheme_oracle_every_small_pair():
+    for n in range(1, 300):
+        for m in range(n):
+            if gcd(m, n) == 1 and (m > 0 or n == 1):
+                assert invariant_to_k(n, m) == euclid_scheme_k(n, m), (n, m)
+
+
+def _random_rationals(count: int, max_h: int):
+    """Seeded reduced p/q with 64..512-bit q whose even expansion has height <= max_h."""
+    rng = random.Random(20240527)
+    while count:
+        bits = rng.randint(64, 512)
+        q = rng.getrandbits(bits) | 1 << (bits - 1)
+        p = rng.randrange(1, q)
+        if gcd(p, q) == 1 and sum(expand_simple(Fraction(p, q), "even").terms[::2]) <= max_h:
+            count -= 1
+            yield Fraction(p, q)
+
+
+def test_euclid_scheme_oracle_large_pairs():
+    for theta in _random_rationals(200, 2000):
+        inv = rational_to_invariant(theta)
+        assert invariant_to_k(inv.n, inv.m) == euclid_scheme_k(inv.n, inv.m) == inv.k
+        assert invariant_to_rational(inv.n, inv.m) == theta
+
+
+def test_height_bound_raises_cap_exceeded():
+    with pytest.raises(CapExceeded, match=r"h = 1000001 exceeds the bound 1000000"):
+        invariant_to_k(10**6 + 2, 10**6 + 1)
+    assert invariant_to_k(10**6 + 1, 10**6).h == 10**6  # 1/(10**6 + 1), at the bound
+    with pytest.raises(CapExceeded):
+        rational_to_invariant(Fraction(1, 2**200))
+    with pytest.raises(CapExceeded):
+        invariant_to_k(2**200, 2**200 - 1)
+    with pytest.raises(CapExceeded):
+        invariant_to_rational(2**200, 2**200 - 1)
 
 
 _OFF_BY_ONE = """
@@ -211,6 +281,26 @@ def test_candidates_examples():
     assert rational_candidates(Fraction(1, 2)) == ((2, 1), (2, 1))
     assert set(rational_candidates(Fraction(1, 3))) == {(3, 1), (3, 2)}
     assert rational_candidates(Fraction(1, 3))[1] == (3, 1)  # odd expansion [0;3]
+
+
+def candidates_by_convergents(theta: Fraction):
+    """(q_N, q_{N-1}) read off the convergents of each simple expansion."""
+    out = []
+    for parity in ("even", "odd"):
+        qs = [q for _, q in convergents(expand_simple(theta, parity))]
+        out.append((qs[-1], qs[-2]))
+    return (out[0], out[1])
+
+
+def test_candidates_match_convergents_and_forward_map():
+    for q in range(2, 300):
+        for p in range(1, q):
+            if gcd(p, q) == 1:
+                theta = Fraction(p, q)
+                candidates = rational_candidates(theta)
+                assert candidates == candidates_by_convergents(theta), theta
+                inv = rational_to_invariant(theta)
+                assert candidates[0] == (inv.n, inv.m)
 
 
 def test_candidates_domain():
