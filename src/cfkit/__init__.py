@@ -54,7 +54,6 @@ from .paths import (
     PathCounts,
     defect_by_enumeration,
     enumerate_paths,
-    enumerate_paths_upto,
     is_normal_form,
     path_counts,
 )
@@ -88,7 +87,6 @@ __all__ = [
     "defect_class_mod_n",
     "dimension_tower",
     "enumerate_paths",
-    "enumerate_paths_upto",
     "eval_cf",
     "eval_terms",
     "expand_simple",

@@ -6,10 +6,12 @@ lines by default, or, with ``--format json``, a single JSON object
 decimal string so arbitrary precision survives the trip.  Integers of any
 size are accepted up to ``MAX_LITERAL_DIGITS`` (100 000) digits per
 integer literal, and negative values such as ``-1,1`` or ``-1/2`` may stand
-anywhere in the argument list.  Exit codes: 0 on success, 1 on domain errors
-(precondition violations, literals longer than the digit bound, and
-k-sequences above the height bound of :mod:`cfkit.contfrac`), 2 on parse
-errors.
+anywhere in the argument list.  Only ``oracle`` and ``group`` take
+``--cap``, the bound on their brute-force enumeration.  Exit codes: 0 on
+success, 1 on domain errors (precondition violations, enumerations above
+``--cap``, literals longer than the digit bound, repetition groups past the
+term bound of :mod:`cfkit.literals`, and k-sequences above the height bound
+of :mod:`cfkit.contfrac`), 2 on parse errors.
 """
 
 from __future__ import annotations
@@ -24,11 +26,11 @@ from .correspondence import (
     dimension_tower,
     invariant_to_k,
     invariant_to_rational,
-    k_to_invariant,
     rational_to_invariant,
 )
 from .errors import DomainError
 from .invariants import (
+    BRUTE_FORCE_CAP,
     ExtensionDescriptor,
     brute_force_quotient,
     build_quotient,
@@ -116,11 +118,10 @@ def cmd_rational(args) -> dict:
 
 def cmd_oracle(args) -> dict:
     k = KSequence(tuple(_ints_csv(args.k, what="k-sequence")))
-    cap = args.cap if args.cap is not None else DEFAULT_CAP
     counts = path_counts(k)
-    enumerated = [len(enumerate_paths(k, f, cap=cap)) for f in range(k.h + 1)]
+    enumerated = [len(enumerate_paths(k, f, cap=args.cap)) for f in range(k.h + 1)]
     defect = sum((k.h - f) * c for f, c in enumerate(enumerated))
-    _, m = k_to_invariant(k)
+    m = sum(counts.cumulative[:k.h])
     return {
         "inputs": {"k": k.entries},
         "outputs": {
@@ -135,8 +136,7 @@ def cmd_oracle(args) -> dict:
 
 def cmd_group(args) -> dict:
     q = build_quotient(tuple(_ints_csv(args.a, count=2, what="index pair")), args.n)
-    kwargs = {"cap": args.cap} if args.cap is not None else {}
-    bf = brute_force_quotient(q.a, q.n, **kwargs)
+    bf = brute_force_quotient(q.a, q.n, cap=args.cap)
     return {
         "inputs": {"a": q.a, "n": q.n},
         "outputs": {
@@ -185,8 +185,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("text", "json"), default="text",
                         help="output rendering (default: text)")
-    common.add_argument("--cap", type=int, default=None,
-                        help="enumeration cap forwarded to oracle/group computations")
 
     parser = argparse.ArgumentParser(
         prog="cfkit",
@@ -211,11 +209,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oracle", parents=[common],
                        help="path counts by recurrence vs. exhaustive enumeration")
+    p.add_argument("--cap", type=int, default=DEFAULT_CAP,
+                   help="most path words of length <= h to enumerate (default: %(default)s)")
     p.add_argument("--k", required=True, help="k-sequence entries, e.g. 1,1")
     p.set_defaults(handler=cmd_oracle)
 
     p = sub.add_parser("group", parents=[common],
                        help="quotient group Z^2/(Za + nZ^2), closed form vs. brute force")
+    p.add_argument("--cap", type=int, default=BRUTE_FORCE_CAP,
+                   help="largest n whose n x n box of cosets is enumerated (default: %(default)s)")
     p.add_argument("--a", required=True, help="index pair, e.g. -1,1")
     p.add_argument("--n", type=int, required=True)
     p.set_defaults(handler=cmd_group)

@@ -198,7 +198,11 @@ def tensor_factor(e: ExtensionDescriptor, t: int) -> tuple[int, int]:
 
 @dataclass(frozen=True)
 class BruteForceQuotient:
-    """Cosets of Za + nZ^2 enumerated directly from the box [0,n)^2."""
+    """Cosets of Za + nZ^2 enumerated directly from the box [0,n)^2.
+
+    ``reps`` holds the lexicographically least point of each coset, sorted,
+    and ``table[i][j]`` is the index of the coset of ``reps[i] + reps[j]``.
+    """
 
     a: IndexPair
     n: int
@@ -208,15 +212,6 @@ class BruteForceQuotient:
     @property
     def order(self) -> int:
         return len(self.reps)
-
-    def canonical(self, k: tuple[int, int]) -> tuple[int, int]:
-        """Lexicographically least element of k's coset within the box."""
-        return _coset_rep(k, self.a, self.n)
-
-
-def _coset_rep(k: tuple[int, int], a: IndexPair, n: int) -> tuple[int, int]:
-    x, y = k[0] % n, k[1] % n
-    return min(((x + t * a[0]) % n, (y + t * a[1]) % n) for t in range(n))
 
 
 def projection_matches_brute_force(q: QuotientGroup, bf: BruteForceQuotient) -> bool:

@@ -9,7 +9,9 @@ Grammar for continued-fraction literals (whitespace insignificant):
 A group repeats its string of integers inline, e.g. ``[1,(0,1)^3]`` parses
 as ``[1,0,1,0,1,0,1]``.  Either ``;`` or ``,`` may follow the leading term;
 the renderer always emits ``;``.  Every integer after the leading one must
-be >= 0.
+be >= 0.  A literal expands to at most 1 000 000 terms after the leading
+one; an element that would pass that bound raises :class:`CapExceeded`
+before a group is expanded.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import re
 from fractions import Fraction
 
 from .contfrac import ContinuedFraction
+from .errors import CapExceeded
 
 
 class ParseError(ValueError):
@@ -27,6 +30,11 @@ class ParseError(ValueError):
         super().__init__(f"{message} (at position {position})")
         self.position = position
 
+
+# Terms a literal may expand to.  A group multiplies its body before anything
+# is evaluated, so "(0,1)^10**15" would otherwise exhaust memory; 10**6 terms
+# evaluate in a few seconds.
+_MAX_TERMS = 1_000_000
 
 _TOKEN = re.compile(r"\s*(-?\d+|[\[\](),;^])")
 
@@ -83,23 +91,29 @@ class _Parser:
         tok, pos = self.peek()
         if tok in (";", ","):
             self.i += 1
-            terms.extend(self.parse_element())
+            self.parse_element(terms)
             while self.peek()[0] == ",":
                 self.i += 1
-                terms.extend(self.parse_element())
+                self.parse_element(terms)
         self.take("]")
         tok, pos = self.peek()
         if tok:
             raise ParseError(f"trailing input {tok!r}", pos)
         return ContinuedFraction(a0, tuple(terms))
 
-    def parse_element(self) -> list[int]:
-        tok, pos = self.peek()
-        if tok == "(":
-            return self.parse_group()
-        return [self.take_int(minimum=0)]
+    def parse_element(self, terms: list[int]) -> None:
+        """Append one element to ``terms``, checking the term bound before expanding."""
+        if self.peek()[0] == "(":
+            body, count = self.parse_group()
+        else:
+            body, count = [self.take_int(minimum=0)], 1
+        total = len(terms) + len(body) * count
+        if total > _MAX_TERMS:
+            raise CapExceeded(f"the literal expands to at least {total} terms;"
+                              f" at most {_MAX_TERMS} are accepted")
+        terms.extend(body * count)
 
-    def parse_group(self) -> list[int]:
+    def parse_group(self) -> tuple[list[int], int]:
         self.take("(")
         body = [self.take_int(minimum=0)]
         self.take(",")
@@ -109,8 +123,7 @@ class _Parser:
             body.append(self.take_int(minimum=0))
         self.take(")")
         self.take("^")
-        count = self.take_int(minimum=1)
-        return body * count
+        return body, self.take_int(minimum=1)
 
 
 def parse_cf(text: str) -> ContinuedFraction:

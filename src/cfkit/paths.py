@@ -137,19 +137,6 @@ def enumerate_paths(k: KSequence, length: int, cap: int = DEFAULT_CAP) -> list[P
     return words
 
 
-def enumerate_paths_upto(k: KSequence, length: int, cap: int = DEFAULT_CAP) -> list[PathWord]:
-    """All wall-terminated normal-form words of length at most ``length``."""
-    counts = path_counts(k, upto=length)
-    if counts.cumulative[length] > cap:
-        raise CapExceeded(
-            f"predicted word count {counts.cumulative[length]} exceeds cap {cap}"
-        )
-    words = []
-    for f in range(length + 1):
-        words.extend(enumerate_paths(k, f, cap=cap))
-    return words
-
-
 def is_normal_form(word: PathWord, k: KSequence) -> bool:
     """Validity predicate: chain levels, wall bounds, alphas before betas per run."""
     seen_beta = False
@@ -173,9 +160,10 @@ def defect_by_enumeration(k: KSequence, cap: int = DEFAULT_CAP) -> int:
     This is the rank of the complement of the enumerated projections, the
     quantity the recurrence route computes as ``sum(cumulative[:h])``.
     Rejects the zero sequence (its defect is fixed to 0 by convention at the
-    correspondence level).
+    correspondence level).  Lengths are enumerated longest first, so an
+    over-cap request raises at length h before any shorter length is built,
+    and only one length's words are held at a time.
     """
     if k.h == 0:
         raise DomainError("defect enumeration needs a nonzero k-sequence")
-    words = enumerate_paths_upto(k, k.h, cap=cap)
-    return sum(k.h - len(w) for w in words)
+    return sum((k.h - f) * len(enumerate_paths(k, f, cap=cap)) for f in range(k.h, -1, -1))

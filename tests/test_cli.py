@@ -1,9 +1,13 @@
+import io
 import json
 import shlex
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cfkit.cli import main
 
@@ -95,6 +99,29 @@ def test_oracle_zero_sequence(capsys):
 def test_oracle_cap_exits_1(capsys):
     code, _, err = run(capsys, "oracle", "--k", "3,3,3,3,3,3", "--cap", "10")
     assert code == 1 and "cap" in err
+
+
+def test_group_cap(capsys):
+    code, out, err = run(capsys, "group", "--a", "1,2", "--n", "40")
+    assert code == 1 and out == "" and err == "error: n=40 exceeds the brute-force cap 32\n"
+    code, out, err = run(capsys, "group", "--a", "1,2", "--n", "40", "--cap", "50")
+    assert code == 0 and not err
+    assert "order = 40" in out.splitlines() and "oracle_match = true" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "[0;2,2]"],
+    ["invariant", "2/5"],
+    ["rational", "--n", "5", "--m", "2"],
+    ["iso", "--e", "5,-1,1,0,2", "--f", "5,1,-1,2,0"],
+    ["tensor", "--n", "6", "--m", "2", "--t", "2"],
+    ["tower", "2/5"],
+], ids=lambda argv: argv[0])
+def test_cap_is_rejected_outside_oracle_and_group(capsys, argv):
+    with pytest.raises(SystemExit) as exc:  # argparse reports its own errors this way
+        main([*argv, "--cap", "10"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --cap 10" in capsys.readouterr().err
 
 
 def test_group_command(capsys):
@@ -217,6 +244,13 @@ def test_height_bound_exits_1(capsys, argv):
     assert "exceeds the bound 1000000" in err
 
 
+def test_term_bound_exits_1(capsys):
+    code, out, err = run(capsys, "eval", "[1,(0,1)^1000000000000000]")
+    assert code == 1 and out == ""
+    assert err == ("error: the literal expands to at least 2000000000000000 terms;"
+                   " at most 1000000 are accepted\n")
+
+
 @pytest.mark.parametrize("argv,message", [
     (["eval", "-1"], "parse error: expected '[', found '-1' (at position 0)"),
     (["oracle", "--k", "-1,x"], "found '-1,x' (at position 0)"),
@@ -240,3 +274,57 @@ def _readme_commands():
 def test_readme_examples_exit_0(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 0 and out and not err
+
+
+# Short argv tokens: integers of at most three digits, alone, in comma lists,
+# as p/q or in continued-fraction literals, and text over the literal
+# alphabet.  Each flag of a subcommand gets a value of its own type, one time
+# in four any token; one time in four a few more tokens, flags among them,
+# follow.  `--cap` is left out: raising it asks for a large enumeration
+# (`group --n 999 --cap 999` would build a table of 10^9 steps).
+_int = st.integers(-999, 999).map(str)
+_csv = st.lists(_int, min_size=1, max_size=5).map(",".join)
+_pair = st.lists(_int, min_size=2, max_size=2).map(",".join)
+_descriptor = st.lists(_int, min_size=5, max_size=5).map(",".join)
+_ratio = st.tuples(_int, _int).map("/".join)
+_text = st.text("0123456789[](),;^-/ ", max_size=8)
+_cf = st.builds(
+    lambda a0, terms: f"[{a0};{','.join(terms)}]",
+    _int,
+    st.lists(st.one_of(_int, st.tuples(_csv, _int).map("^".join).map("({})".format)), max_size=4),
+)
+_any = st.one_of(_int, _csv, _ratio, _text, st.sampled_from(["even", "odd", "json"]))
+_flags = st.sampled_from(["--n", "--m", "--t", "--k", "--a", "--e", "--f", "--depth", "--parity", "--format"])
+_SLOTS = {
+    "eval": [(None, st.one_of(_cf, _text))],
+    "invariant": [(None, _ratio)],
+    "rational": [("--n", _int), ("--m", _int)],
+    "oracle": [("--k", _csv)],
+    "group": [("--a", _pair), ("--n", _int)],
+    "iso": [("--e", _descriptor), ("--f", _descriptor)],
+    "tensor": [("--n", _int), ("--m", _int), ("--t", _int)],
+    "tower": [(None, _ratio), ("--parity", st.sampled_from(["even", "odd"])), ("--depth", _int)],
+}
+
+
+@st.composite
+def _argv(draw):
+    subcommand = draw(st.sampled_from(sorted(_SLOTS)))
+    argv = [subcommand]
+    for flag, values in _SLOTS[subcommand]:
+        value = draw(_any if draw(st.integers(0, 3)) == 3 else values)
+        argv += [value] if flag is None else [flag, value]
+    if draw(st.integers(0, 3)) == 3:
+        argv += draw(st.lists(st.one_of(_any, _flags), min_size=1, max_size=2))
+    return argv
+
+
+@given(_argv())
+@settings(deadline=None)
+def test_fuzzed_argv_exits_0_1_or_2(argv):
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse reports its own errors this way
+            code = exc.code
+    assert code in (0, 1, 2)

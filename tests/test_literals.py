@@ -1,8 +1,9 @@
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cfkit.contfrac import ContinuedFraction
+from cfkit.errors import CapExceeded
 from cfkit.literals import ParseError, parse_cf, parse_rational, render_cf
 
 cfs = st.tuples(
@@ -69,6 +70,15 @@ def test_parse_error_reports_position():
     assert "position 5" in str(exc.value)
 
 
+def test_term_bound():
+    bound = 1_000_000  # documented in the module docstring
+    assert len(parse_cf(f"[0;(0,1)^{bound // 2}]").terms) == bound
+    for text in (f"[0;(0,1)^{bound // 2},1]", f"[0;1,(0,1)^{bound // 2}]", "[1,(0,1)^1000000000000000]"):
+        with pytest.raises(CapExceeded) as exc:
+            parse_cf(text)
+        assert f"at most {bound} are accepted" in str(exc.value)
+
+
 def test_parse_rational():
     from fractions import Fraction
 
@@ -82,3 +92,14 @@ def test_parse_rational():
 def test_parse_rational_errors(text):
     with pytest.raises(ParseError):
         parse_rational(text)
+
+
+@given(st.one_of(st.text(), st.text("0123456789[](),;^-/ ")))
+@example("[1,(0,1)^1000000000000000]")
+@settings(deadline=None)
+def test_parsers_raise_only_parse_error_or_cap(text):
+    for parse in (parse_cf, parse_rational):
+        try:
+            parse(text)
+        except (ParseError, CapExceeded):
+            pass

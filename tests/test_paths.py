@@ -3,13 +3,13 @@ from itertools import product
 
 import pytest
 
+from cfkit import paths
 from cfkit.contfrac import KSequence
 from cfkit.errors import CapExceeded, DomainError
 from cfkit.paths import (
     Edge,
     defect_by_enumeration,
     enumerate_paths,
-    enumerate_paths_upto,
     is_normal_form,
     path_counts,
 )
@@ -113,7 +113,7 @@ def word_key(word):
 
 def test_enumerated_words_are_valid_and_distinct():
     for k in small_sequences(3, 2):
-        words = enumerate_paths_upto(k, k.h)
+        words = [w for f in range(k.h + 1) for w in enumerate_paths(k, f)]
         assert len(set(words)) == len(words)
         for w in words:
             assert is_normal_form(w, k)
@@ -165,6 +165,25 @@ def test_cap_is_enforced():
         enumerate_paths(KSequence((2, 2, 2)), 3, cap=5)
     with pytest.raises(CapExceeded):
         defect_by_enumeration(KSequence((2, 2, 2, 2)), cap=10)
+
+
+def test_over_cap_defect_stops_at_length_h(monkeypatch):
+    # cumulative counts (1, 3, 11, 41, 153): every length below h = 4 fits cap 100
+    k = KSequence((2, 2, 2, 2))
+    real = paths.enumerate_paths
+    lengths = []
+
+    def counting(k, length, cap=paths.DEFAULT_CAP):
+        lengths.append(length)
+        return real(k, length, cap=cap)
+
+    monkeypatch.setattr(paths, "enumerate_paths", counting)
+    with pytest.raises(CapExceeded) as via_defect:
+        paths.defect_by_enumeration(k, cap=100)
+    assert lengths == [k.h]
+    with pytest.raises(CapExceeded) as direct:
+        real(k, k.h, cap=100)
+    assert str(via_defect.value) == str(direct.value)
 
 
 def test_counts_beyond_support_stay_flat():
