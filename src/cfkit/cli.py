@@ -119,7 +119,10 @@ def cmd_rational(args) -> dict:
 def cmd_oracle(args) -> dict:
     k = KSequence(tuple(_ints_csv(args.k, what="k-sequence")))
     counts = path_counts(k)
-    enumerated = [len(enumerate_paths(k, f, cap=args.cap)) for f in range(k.h + 1)]
+    # Longest first, so an over-cap request is refused before shorter lengths are built.
+    enumerated = [0] * (k.h + 1)
+    for f in range(k.h, -1, -1):
+        enumerated[f] = len(enumerate_paths(k, f, cap=args.cap))
     defect = sum((k.h - f) * c for f, c in enumerate(enumerated))
     m = sum(counts.cumulative[:k.h])
     return {

@@ -220,27 +220,34 @@ def projection_matches_brute_force(q: QuotientGroup, bf: BruteForceQuotient) -> 
     True when the projection restricted to the coset representatives is a
     bijection onto Z/d x Z/n and respects the enumerated addition table.
     """
-    images = [project(r, q) for r in bf.reps]
-    full = {(i, j) for i in range(q.d) for j in range(q.n)}
-    if len(set(images)) != len(images) or set(images) != full:
+    d, n = q.d, q.n
+    if bf.order != d * n:
         return False
-    for i in range(bf.order):
-        for j in range(bf.order):
-            expected = (
-                (images[i][0] + images[j][0]) % q.d,
-                (images[i][1] + images[j][1]) % q.n,
-            )
-            if images[bf.table[i][j]] != expected:
-                return False
+    # by_code[u*n + v] is the index of the representative projecting to (u, v).
+    by_code = [-1] * (d * n)
+    keys = []
+    for i, r in enumerate(bf.reps):
+        u, v = project(r, q)
+        if by_code[u * n + v] >= 0:
+            return False
+        by_code[u * n + v] = i
+        keys.append(u * 2 * n + v)
+    # Tiled 2d x 2n, the code of (u1 + u2, v1 + v2) is one lookup at keys[i] + keys[j].
+    tiled = [by_code[u % d * n + v % n] for u in range(2 * d) for v in range(2 * n)]
+    for i, k1 in enumerate(keys):
+        if list(bf.table[i]) != [tiled[k1 + k2] for k2 in keys]:
+            return False
     return True
 
 
 def brute_force_quotient(a: IndexPair, n: int, cap: int = BRUTE_FORCE_CAP) -> BruteForceQuotient:
     """Enumerate Z^2/(Za + nZ^2): canonical reps and the full addition table.
 
-    Multiples of a and of (n,0), (0,n) tile the box [0,n)^2 into cosets;
-    reducing t over 0..n-1 suffices because n*a lies in nZ^2.  Work grows
-    like n^3, hence the cap.
+    Multiples of a and of (n,0), (0,n) tile the box [0,n)^2 into cosets.  The
+    box is scanned in lexicographic order, and the first point not yet in a
+    coset is the least point of its coset, so ``reps`` comes out sorted.  The
+    scan visits each of the n^2 points once; the table has (d*n)^2 entries,
+    up to n^4 when d = gcd(a_+, a_-, n) = n, hence the cap.
     """
     a = _index_pair(a, n)
     if a == (0, 0):
@@ -249,19 +256,21 @@ def brute_force_quotient(a: IndexPair, n: int, cap: int = BRUTE_FORCE_CAP) -> Br
         raise DomainError(f"n must be >= 1, got {n}")
     if n > cap:
         raise CapExceeded(f"n={n} exceeds the brute-force cap {cap}")
-    rep_of: dict[tuple[int, int], tuple[int, int]] = {}
+    ap, am = a[0] % n, a[1] % n
+    coset = [-1] * (n * n)  # coset[x*n + y]: index of the coset of (x, y)
+    reps = []
     for x in range(n):
         for y in range(n):
-            if (x, y) in rep_of:
+            if coset[x * n + y] >= 0:
                 continue
-            orbit = {((x + t * a[0]) % n, (y + t * a[1]) % n) for t in range(n)}
-            rep = min(orbit)
-            for point in orbit:
-                rep_of[point] = rep
-    reps = sorted(set(rep_of.values()))
-    idx = {r: i for i, r in enumerate(reps)}
-    table = tuple(
-        tuple(idx[rep_of[((r1[0] + r2[0]) % n, (r1[1] + r2[1]) % n)]] for r2 in reps)
-        for r1 in reps
-    )
+            i = len(reps)
+            reps.append((x, y))
+            px, py = x, y
+            while coset[px * n + py] < 0:  # walk (x, y) + t*a until it closes up
+                coset[px * n + py] = i
+                px, py = (px + ap) % n, (py + am) % n
+    # Tiled 2n x 2n, the coset of r1 + r2 is one lookup at flat[r1] + flat[r2].
+    tiled = [coset[x % n * n + y % n] for x in range(2 * n) for y in range(2 * n)]
+    flat = [x * 2 * n + y for x, y in reps]
+    table = tuple(tuple([tiled[f1 + f2] for f2 in flat]) for f1 in flat)
     return BruteForceQuotient(a=a, n=n, reps=tuple(reps), table=table)

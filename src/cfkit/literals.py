@@ -17,6 +17,7 @@ before a group is expanded.
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
 
 from .contfrac import ContinuedFraction
@@ -37,6 +38,17 @@ class ParseError(ValueError):
 _MAX_TERMS = 1_000_000
 
 _TOKEN = re.compile(r"\s*(-?\d+|[\[\](),;^])")
+
+
+def _int(token: str, position: int) -> int:
+    """``int(token)``, with the interpreter's int/str digit limit raised as a ParseError."""
+    try:
+        return int(token)
+    except ValueError:
+        digits = len(token.lstrip("-"))
+        raise ParseError(f"an integer of {digits} digits exceeds this interpreter's limit of"
+                         f" {sys.get_int_max_str_digits()} digits for int/str conversion",
+                         position) from None
 
 
 def _tokenize(text: str) -> list[tuple[str, int]]:
@@ -78,7 +90,7 @@ class _Parser:
         if not re.fullmatch(r"-?\d+", tok or ""):
             found = repr(tok) if tok else "end of input"
             raise ParseError(f"expected an integer, found {found}", pos)
-        value = int(tok)
+        value = _int(tok, pos)
         if minimum is not None and value < minimum:
             raise ParseError(f"expected an integer >= {minimum}, found {value}", pos)
         self.i += 1
@@ -144,8 +156,8 @@ def parse_rational(text: str) -> Fraction:
     m = _RATIONAL.match(text)
     if m is None:
         raise ParseError(f"expected a rational like 2/5 or 0, found {text!r}", 0)
-    num = int(m.group(1))
-    den = int(m.group(2)) if m.group(2) is not None else 1
+    num = _int(m.group(1), m.start(1))
+    den = _int(m.group(2), m.start(2)) if m.group(2) is not None else 1
     if den == 0:
         raise ParseError("denominator must be nonzero", m.start(2))
     return Fraction(num, den)

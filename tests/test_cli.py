@@ -9,7 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cfkit.cli
 from cfkit.cli import main
+from cfkit.paths import enumerate_paths
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -99,6 +101,19 @@ def test_oracle_zero_sequence(capsys):
 def test_oracle_cap_exits_1(capsys):
     code, _, err = run(capsys, "oracle", "--k", "3,3,3,3,3,3", "--cap", "10")
     assert code == 1 and "cap" in err
+
+
+def test_oracle_refuses_before_building_shorter_lengths(capsys, monkeypatch):
+    lengths = []
+
+    def counted(k, length, cap):
+        lengths.append(length)
+        return enumerate_paths(k, length, cap=cap)
+
+    monkeypatch.setattr(cfkit.cli, "enumerate_paths", counted)
+    code, out, err = run(capsys, "oracle", "--k", "965,890,143,536,536")
+    assert code == 1 and out == "" and "cap" in err
+    assert lengths == [5]
 
 
 def test_group_cap(capsys):

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from itertools import product
 from math import gcd
 
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from cfkit.errors import CapExceeded, DomainError
 from cfkit.invariants import (
+    BruteForceQuotient,
     ExtensionDescriptor,
     brute_force_quotient,
     build_quotient,
@@ -136,15 +138,83 @@ def test_brute_force_table_is_a_group():
         assert bf.table[bf.table[i][j]][k] == bf.table[i][bf.table[j][k]]
 
 
+def reference_quotient(a, n):
+    """Cosets by orbit minimum, kept in dicts: the construction the flat scan replaced."""
+    rep_of = {}
+    for x in range(n):
+        for y in range(n):
+            if (x, y) in rep_of:
+                continue
+            orbit = {((x + t * a[0]) % n, (y + t * a[1]) % n) for t in range(n)}
+            rep = min(orbit)
+            for point in orbit:
+                rep_of[point] = rep
+    reps = sorted(set(rep_of.values()))
+    idx = {r: i for i, r in enumerate(reps)}
+    table = tuple(
+        tuple(idx[rep_of[((r1[0] + r2[0]) % n, (r1[1] + r2[1]) % n)]] for r2 in reps)
+        for r1 in reps
+    )
+    return tuple(reps), table
+
+
+grid = [(a, n) for a in product(range(-5, 6), repeat=2) if a != (0, 0) for n in range(1, 13)]
+
+
+def test_brute_force_matches_reference_construction():
+    assert any(build_quotient(a, n).d > 1 for a, n in grid)
+    for a, n in grid:
+        bf = brute_force_quotient(a, n)
+        assert (bf.reps, bf.table) == reference_quotient(a, n), (a, n)
+
+
 def test_projection_matches_brute_force_small_grid():
-    for a0, a1 in product(range(-3, 4), repeat=2):
-        if (a0, a1) == (0, 0):
+    for a, n in grid:
+        q = build_quotient(a, n)
+        bf = brute_force_quotient(a, n)
+        assert bf.order == q.d * n
+        assert projection_matches_brute_force(q, bf)
+
+
+def test_projection_rejects_a_wrong_companion():
+    # b + a' is another companion; b = (0, 0) makes the first coordinate constant,
+    # which is wrong wherever d > 1
+    cases = [(a, n) for a, n in grid if build_quotient(a, n).d > 1]
+    assert cases
+    for a, n in cases:
+        q = build_quotient(a, n)
+        bf = brute_force_quotient(a, n)
+        shifted = (q.b[0] + q.a_prime[0], q.b[1] + q.a_prime[1])
+        assert projection_matches_brute_force(replace(q, b=shifted), bf)
+        assert not projection_matches_brute_force(replace(q, b=(0, 0)), bf), (a, n)
+
+
+def test_projection_rejects_swapped_table_entries():
+    for a, n in grid:
+        bf = brute_force_quotient(a, n)
+        if bf.order < 2:
             continue
-        for n in range(1, 7):
-            q = build_quotient((a0, a1), n)
-            bf = brute_force_quotient((a0, a1), n)
-            assert bf.order == q.d * n
-            assert projection_matches_brute_force(q, bf)
+        table = [list(row) for row in bf.table]
+        i = bf.order - 1
+        table[i][0], table[i][1] = table[i][1], table[i][0]  # distinct: rows are permutations
+        corrupted = replace(bf, table=tuple(map(tuple, table)))
+        assert not projection_matches_brute_force(build_quotient(a, n), corrupted), (a, n)
+
+
+def test_projection_rejects_repeated_images_with_any_table():
+    q = build_quotient((1, 1), 2)
+    assert project((0, 0), q) == project((1, 1), q)
+    for table in product(product(range(2), repeat=2), repeat=2):
+        bf = BruteForceQuotient(a=(1, 1), n=2, reps=((0, 0), (1, 1)), table=table)
+        assert not projection_matches_brute_force(q, bf), table
+
+
+def test_projection_rejects_a_wrong_d():
+    for a, n in grid:
+        q = build_quotient(a, n)
+        bf = brute_force_quotient(a, n)
+        for d in {1, q.d - 1, q.d + 1} - {0, q.d}:
+            assert not projection_matches_brute_force(replace(q, d=d), bf), (a, n, d)
 
 
 def test_is_isomorphic_known_cases():

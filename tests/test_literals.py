@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -92,6 +94,28 @@ def test_parse_rational():
 def test_parse_rational_errors(text):
     with pytest.raises(ParseError):
         parse_rational(text)
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="this interpreter has no int/str digit limit")
+@pytest.mark.parametrize("parse, text, position", [
+    (parse_cf, "[{}]", 1),
+    (parse_cf, "[0; 1, {}]", 7),
+    (parse_rational, "{}", 0),
+    (parse_rational, " -1 / {}", 6),
+])
+def test_digits_past_the_int_limit_raise_parse_error(parse, text, position):
+    limit = sys.int_info.default_max_str_digits
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        with pytest.raises(ParseError) as exc:
+            parse(text.format("1" * (limit + 1)))
+    finally:
+        sys.set_int_max_str_digits(saved)
+    assert exc.value.position == position
+    assert f"an integer of {limit + 1} digits exceeds" in str(exc.value)
+    assert f"limit of {limit} digits" in str(exc.value)
 
 
 @given(st.one_of(st.text(), st.text("0123456789[](),;^-/ ")))
