@@ -1,7 +1,7 @@
 """The full bijection [0,1) rationals <-> coprime pairs (n, m), and towers.
 
 Forward: rational -> even-parity expansion -> k-sequence -> path counts.
-Reverse: modified Euclidean division on (n, m) -> k-sequence -> rational.
+Reverse: even-parity expansion of (-m^-1 mod n)/n -> k-sequence -> rational.
 The denominator always reappears as n, and m runs over the residues
 coprime to n, each exactly once.
 

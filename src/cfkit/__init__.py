@@ -32,7 +32,7 @@ from .correspondence import (
     rational_to_invariant,
 )
 from .errors import CapExceeded, DomainError
-from .exact import INFINITY, UNDEFINED, ExtendedRational, Rational, add, as_extended, finite, reciprocal
+from .exact import INFINITY, UNDEFINED, ExtendedRational, add, as_extended, finite, reciprocal
 from .invariants import (
     BruteForceQuotient,
     ExtensionDescriptor,
@@ -74,7 +74,6 @@ __all__ = [
     "PathCounts",
     "QuotientGroup",
     "BruteForceQuotient",
-    "Rational",
     "RationalInvariant",
     "TowerLevel",
     "UNDEFINED",

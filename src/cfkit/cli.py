@@ -147,7 +147,7 @@ def cmd_group(args) -> dict:
             "d": q.d,
             "order": bf.order,
             "generator_images": [project((1, 0), q), project((0, 1), q)],
-            "oracle_match": bf.order == q.order and projection_matches_brute_force(q, bf),
+            "oracle_match": projection_matches_brute_force(q, bf),
         },
     }
 

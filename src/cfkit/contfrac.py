@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Literal, Sequence
 
-from .errors import CapExceeded, DomainError
+from .errors import CapExceeded, DomainError, _show_int
 from .exact import ExtendedRational, add, as_extended, reciprocal
 
 Parity = Literal["even", "odd"]
@@ -202,7 +202,7 @@ def _k_entries(terms: Sequence[int]) -> tuple[int, ...]:
     """Dense entries of an even-length simple term list; checks h = a_1 + a_3 + ... first."""
     h = sum(terms[::2])
     if h > _MAX_HEIGHT:
-        raise CapExceeded(f"k-sequence height h = {h} exceeds the bound {_MAX_HEIGHT} on dense entries")
+        raise CapExceeded(f"k-sequence height h = {_show_int(h)} exceeds the bound {_MAX_HEIGHT} on dense entries")
     entries: list[int] = []
     for gap, value in zip(terms[::2], terms[1::2]):
         entries += [0] * (gap - 1)

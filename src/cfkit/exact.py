@@ -29,12 +29,6 @@ from fractions import Fraction
 from math import gcd as _gcd
 from numbers import Rational as _RationalABC
 
-Rational = Fraction
-
-_FINITE = 0
-_INFINITE = 1
-_UNDEFINED = 2
-
 
 class ExtendedRational:
     """A rational number, the (unsigned) point at infinity, or ``undefined``.
@@ -46,14 +40,8 @@ class ExtendedRational:
 
     __slots__ = ("_num", "_den")
 
-    def __new__(cls, kind: int, value):
-        if kind == _FINITE:
-            return finite(value)
-        if kind == _INFINITE:
-            return INFINITY
-        if kind == _UNDEFINED:
-            return UNDEFINED
-        raise ValueError(f"unknown ExtendedRational kind {kind!r}")
+    def __new__(cls, *args, **kwargs):
+        raise TypeError("ExtendedRational has no public constructor; use finite(), INFINITY or UNDEFINED")
 
     def __setattr__(self, name, value):
         raise AttributeError("ExtendedRational is immutable")
@@ -90,11 +78,6 @@ class ExtendedRational:
     def __hash__(self):
         # A finite value hashes as the equal Fraction does.
         return hash(self.value) if self._den else hash((self._num, self._den))
-
-    def __add__(self, other):
-        return add(self, as_extended(other))
-
-    __radd__ = __add__
 
     def __repr__(self) -> str:
         return f"ExtendedRational({self})"

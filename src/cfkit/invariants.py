@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .errors import CapExceeded, DomainError
+from .errors import CapExceeded, DomainError, _show_int
 
 IndexPair = tuple[int, int]
 DefectPair = tuple[int, int]
@@ -255,7 +255,7 @@ def brute_force_quotient(a: IndexPair, n: int, cap: int = BRUTE_FORCE_CAP) -> Br
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
     if n > cap:
-        raise CapExceeded(f"n={n} exceeds the brute-force cap {cap}")
+        raise CapExceeded(f"n={_show_int(n)} exceeds the brute-force cap {_show_int(cap)}")
     ap, am = a[0] % n, a[1] % n
     coset = [-1] * (n * n)  # coset[x*n + y]: index of the coset of (x, y)
     reps = []

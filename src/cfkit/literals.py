@@ -21,7 +21,7 @@ import sys
 from fractions import Fraction
 
 from .contfrac import ContinuedFraction
-from .errors import CapExceeded
+from .errors import CapExceeded, _show_int
 
 
 class ParseError(ValueError):
@@ -121,7 +121,7 @@ class _Parser:
             body, count = [self.take_int(minimum=0)], 1
         total = len(terms) + len(body) * count
         if total > _MAX_TERMS:
-            raise CapExceeded(f"the literal expands to at least {total} terms;"
+            raise CapExceeded(f"the literal expands to at least {_show_int(total)} terms;"
                               f" at most {_MAX_TERMS} are accepted")
         terms.extend(body * count)
 

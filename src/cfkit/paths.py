@@ -34,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .contfrac import KSequence
-from .errors import CapExceeded, DomainError
+from .errors import CapExceeded, DomainError, _show_int
 
 DEFAULT_CAP = 1_000_000
 
@@ -76,17 +76,13 @@ class PathCounts:
     cumulative: tuple[int, ...]
 
 
-def path_counts(k: KSequence, upto: int | None = None) -> PathCounts:
-    """Counting sequences through index ``upto`` (default: the support height)."""
-    if upto is None:
-        upto = k.h
-    if upto < 0:
-        raise DomainError("upto must be >= 0")
+def path_counts(k: KSequence) -> PathCounts:
+    """Counting sequences through the support height h; both stay flat past it."""
     per = [1]
     cum = [1]
     total = 1  # sum(cum)
-    for f in range(1, upto + 1):
-        per.append(k.at(f) * total)
+    for entry in k.entries:
+        per.append(entry * total)
         cum.append(cum[-1] + per[-1])
         total += cum[-1]
     return PathCounts(tuple(per), tuple(cum))
@@ -109,11 +105,10 @@ def enumerate_paths(k: KSequence, length: int, cap: int = DEFAULT_CAP) -> list[P
     """
     if length < 0:
         raise DomainError("length must be >= 0")
-    counts = path_counts(k, upto=length)
-    if counts.cumulative[length] > cap:
-        raise CapExceeded(
-            f"predicted word count {counts.cumulative[length]} exceeds cap {cap}"
-        )
+    counts = path_counts(k)
+    predicted = counts.cumulative[min(length, k.h)]
+    if predicted > cap:
+        raise CapExceeded(f"predicted word count {_show_int(predicted)} exceeds cap {_show_int(cap)}")
     if length == 0:
         return [()]
     if k.at(length) == 0:

@@ -158,6 +158,12 @@ def test_group_degenerate_exits_1(capsys):
     assert code == 1 and "degenerate" in err
 
 
+def test_group_index_pair_needs_two_integers(capsys):
+    code, out, err = run(capsys, "group", "--a", "1,2,3", "--n", "5")
+    assert code == 2 and out == ""
+    assert "expected 2 comma-separated integers, found 3" in err
+
+
 def test_iso_command(capsys):
     code, out, _ = run(capsys, "iso", "--e", "5,-1,1,0,2", "--f", "5,-1,1,1,1")
     assert code == 0 and out == "true\n"

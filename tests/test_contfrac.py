@@ -157,6 +157,8 @@ def test_ksequence_normalization():
         KSequence((1, -1))
     with pytest.raises(DomainError):
         KSequence((True,))
+    with pytest.raises(DomainError):
+        KSequence((1,)).at(0)
 
 
 def test_k_to_simple_examples():

@@ -160,8 +160,8 @@ import cfkit.correspondence as c
 assert not __debug__, "expected python -O"
 real = c.path_counts
 
-def off_by_one(k, upto=None):
-    counts = real(k, upto)
+def off_by_one(k):
+    counts = real(k)
     cumulative = list(counts.cumulative)
     cumulative[k.h] += 1
     return dataclasses.replace(counts, cumulative=tuple(cumulative))

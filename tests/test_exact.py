@@ -6,9 +6,6 @@ from hypothesis import strategies as st
 
 from cfkit.contfrac import KSequence, eval_cf, k_to_simple, k_value
 from cfkit.exact import (
-    _FINITE,
-    _INFINITE,
-    _UNDEFINED,
     INFINITY,
     UNDEFINED,
     ExtendedRational,
@@ -208,7 +205,6 @@ def test_equal_values_hash_equal(x):
     same = [
         finite(x),
         as_extended(x),
-        ExtendedRational(_FINITE, x),
         add(finite(x), finite(0)),
         add(0, finite(x)),
         reciprocal(reciprocal(finite(x))) if x else finite(0),
@@ -219,14 +215,11 @@ def test_equal_values_hash_equal(x):
 
 
 def test_direct_construction():
-    assert ExtendedRational(_FINITE, Fraction(2, -4)) == finite(Fraction(-1, 2))
-    assert ExtendedRational(_FINITE, 5).value == Fraction(5)
-    assert ExtendedRational(_INFINITE, None) == INFINITY
-    assert ExtendedRational(_UNDEFINED, None) == UNDEFINED
-    assert hash(ExtendedRational(_INFINITE, None)) == hash(INFINITY)
+    # finite(), INFINITY and UNDEFINED are the only ways in
+    for args in ((), (0, 5), (Fraction(1, 2),)):
+        with pytest.raises(TypeError, match="finite"):
+            ExtendedRational(*args)
     assert INFINITY != UNDEFINED and INFINITY != finite(1) and UNDEFINED != finite(0)
-    with pytest.raises(ValueError):
-        ExtendedRational(3, None)
 
 
 def test_k_value_of_a_long_zero_chain_matches_the_simple_form():

@@ -120,6 +120,8 @@ def test_brute_force_cap():
     with pytest.raises(DomainError):
         brute_force_quotient((0, 0), 3)
     with pytest.raises(DomainError):
+        brute_force_quotient((1, 0), 0)
+    with pytest.raises(DomainError):
         brute_force_quotient((1.5, 1), 5)
     with pytest.raises(DomainError):
         brute_force_quotient((1, 1), 5.0)

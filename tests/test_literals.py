@@ -70,6 +70,9 @@ def test_parse_error_reports_position():
         parse_cf("[1,0,]")
     assert exc.value.position == 5
     assert "position 5" in str(exc.value)
+    with pytest.raises(ParseError, match="trailing input") as exc:
+        parse_cf("[1]]")
+    assert exc.value.position == 3
 
 
 def test_term_bound():

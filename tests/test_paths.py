@@ -187,12 +187,26 @@ def test_over_cap_defect_stops_at_length_h(monkeypatch):
 
 
 def test_counts_beyond_support_stay_flat():
-    counts = path_counts(KSequence((2,)), upto=4)
-    assert counts.per_length == (1, 2, 0, 0, 0)
-    assert counts.cumulative == (1, 3, 3, 3, 3)
-    assert path_counts(KSequence(()), upto=3).cumulative == (1, 1, 1, 1)
+    # past h the predicted count is cumulative[h] and no word ends in a wall
+    assert path_counts(KSequence(())).cumulative == (1,)
+    assert enumerate_paths(KSequence(()), 3, cap=1) == []
     for k in small_sequences(3, 2):
-        exact = path_counts(k)
-        beyond = path_counts(k, upto=k.h + 3)
-        assert beyond.per_length == exact.per_length + (0, 0, 0)
-        assert beyond.cumulative == exact.cumulative + (exact.cumulative[-1],) * 3
+        top = path_counts(k).cumulative[k.h]
+        for length in (k.h + 1, k.h + 3):
+            assert enumerate_paths(k, length, cap=top) == []
+            with pytest.raises(CapExceeded, match=f"predicted word count {top} exceeds cap {top - 1}"):
+                enumerate_paths(k, length, cap=top - 1)
+
+
+def test_enumerate_rejects_negative_length():
+    with pytest.raises(DomainError):
+        enumerate_paths(KSequence((1,)), -1)
+
+
+@pytest.mark.parametrize("edge, text", [
+    (Edge("alpha", 1), "a1"),
+    (Edge("beta", 2), "b2"),
+    (Edge("gamma", 3, 2), "g3(2)"),
+])
+def test_edge_text(edge, text):
+    assert str(edge) == text
