@@ -271,7 +271,10 @@ def main(argv=None) -> int:
         sys.set_int_max_str_digits(0)
     try:
         _check_literal_digits(argv)
-        args = _build_parser().parse_args(argv)
+        try:
+            args = _build_parser().parse_args(argv)
+        except SystemExit as exc:  # argparse exits on --help and on usage errors
+            return exc.code
         _emit(args.format, {"command": args.subcommand, **args.handler(args)})
         return 0
     except ParseError as exc:

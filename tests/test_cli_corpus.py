@@ -36,10 +36,7 @@ def record(id: str, argv: list[str]) -> dict:
     """The corpus entry of one run of ``argv``."""
     out, err = io.StringIO(), io.StringIO()
     with patch.dict(os.environ, COLUMNS="80"), redirect_stdout(out), redirect_stderr(err):
-        try:
-            code = main(list(argv))
-        except SystemExit as exc:  # argparse reports its own errors this way
-            code = exc.code
+        code = main(list(argv))
     stdout = out.getvalue()
     if len(stdout) > HASHED_OVER:
         stdout = {"sha256": hashlib.sha256(stdout.encode()).hexdigest(), "length": len(stdout)}
