@@ -1,5 +1,12 @@
+"""CLI checks that a recorded output cannot make.
+
+Outputs themselves are pinned by the golden corpus in ``cli_corpus.json``
+(see ``test_cli_corpus.py``).  The named replays below keep the ids of the
+hand-written per-argv tests the corpus replaced; each replays the entries
+for the argv that test ran.
+"""
+
 import io
-import json
 import shlex
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -12,6 +19,7 @@ from hypothesis import strategies as st
 import cfkit.cli
 from cfkit.cli import main
 from cfkit.paths import enumerate_paths
+from test_cli_corpus import replay
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -22,85 +30,77 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
-def test_eval_text(capsys):
-    code, out, _ = run(capsys, "eval", "[1,(0,1)^3]")
-    assert code == 0 and out == "4\n"
+def test_eval_text():
+    replay("eval.readme-groups")
 
 
-def test_eval_fraction(capsys):
-    code, out, _ = run(capsys, "eval", "[0;2,2]")
-    assert code == 0 and out == "2/5\n"
+def test_eval_fraction():
+    replay("eval.fraction")
 
 
-def test_eval_infinity(capsys):
-    code, out, _ = run(capsys, "eval", "[1,0]")
-    assert code == 0 and out == "inf\n"
+def test_eval_infinity():
+    replay("eval.readme-inf")
 
 
-def test_eval_parse_error_exits_2(capsys):
-    code, _, err = run(capsys, "eval", "[1,0,]")
-    assert code == 2 and "parse error" in err and "position" in err
+def test_eval_json_inf():
+    replay("eval.readme-inf.json")
 
 
-def test_invariant_text(capsys):
-    code, out, _ = run(capsys, "invariant", "2/5")
-    assert code == 0
-    assert out.splitlines() == ["n = 5", "m = 2", "k = [0,2]", "theta = 2/5"]
+def test_eval_parse_error_exits_2():
+    replay("eval.parse-trailing-comma")
 
 
-def test_invariant_zero(capsys):
-    code, out, _ = run(capsys, "invariant", "0/1")
-    assert code == 0
-    assert "n = 1" in out and "m = 0" in out and "k = []" in out
+def test_term_bound_exits_1():
+    replay("eval.term-bound")
 
 
-def test_invariant_domain_error_exits_1(capsys):
-    code, _, err = run(capsys, "invariant", "-1/2")
-    assert code == 1 and "error" in err
+def test_invariant_text():
+    replay("invariant.readme")
 
 
-def test_negative_rational_before_flags_exits_1(capsys):
-    code, out, err = run(capsys, "invariant", "-1/2", "--format", "json")
-    assert code == 1 and out == "" and "0 <= r < 1" in err
-    code, out, err = run(capsys, "tower", "-2/5", "--parity", "odd")
-    assert code == 1 and out == "" and "0 <= r < 1" in err
+def test_invariant_zero():
+    replay("invariant.zero")
 
 
-def test_invariant_bad_literal_exits_2(capsys):
-    code, _, err = run(capsys, "invariant", "two fifths")
-    assert code == 2 and "parse error" in err
+def test_invariant_domain_error_exits_1():
+    replay("invariant.negative")
 
 
-def test_rational_command(capsys):
-    code, out, _ = run(capsys, "rational", "--n", "5", "--m", "2")
-    assert code == 0
-    assert out.splitlines() == ["theta = 2/5", "k = [0,2]"]
+def test_negative_rational_before_flags_exits_1():
+    replay("invariant.negative.json", "tower.negative")
 
 
-def test_rational_rejects_noncoprime(capsys):
-    code, _, err = run(capsys, "rational", "--n", "4", "--m", "2")
-    assert code == 1 and "gcd" in err
+def test_invariant_bad_literal_exits_2():
+    replay("invariant.bad-literal")
 
 
-def test_oracle_command(capsys):
-    code, out, _ = run(capsys, "oracle", "--k", "1,1")
-    assert code == 0
-    lines = out.splitlines()
-    assert "psi = [1,1,3]" in lines
-    assert "phi = [1,2,5]" in lines
-    assert "defect = 3" in lines
-    assert "match = true" in lines
+def test_json_is_deterministic_and_stringly_typed():
+    replay("invariant.readme.json", "invariant.readme.json")
 
 
-def test_oracle_zero_sequence(capsys):
-    code, out, _ = run(capsys, "oracle", "--k", "0")
-    assert code == 0
-    assert "phi = [1]" in out and "defect = 0" in out and "match = true" in out
+def test_rational_command():
+    replay("rational.readme")
 
 
-def test_oracle_cap_exits_1(capsys):
-    code, _, err = run(capsys, "oracle", "--k", "3,3,3,3,3,3", "--cap", "10")
-    assert code == 1 and "cap" in err
+def test_rational_rejects_noncoprime():
+    replay("rational.noncoprime")
+
+
+@pytest.mark.parametrize("command", ["invariant", "rational"])
+def test_height_bound_exits_1(command):
+    replay(f"{command}.height-bound")
+
+
+def test_oracle_command():
+    replay("oracle.readme")
+
+
+def test_oracle_zero_sequence():
+    replay("oracle.zero")
+
+
+def test_oracle_cap_exits_1():
+    replay("oracle.cap-exceeded")
 
 
 def test_oracle_refuses_before_building_shorter_lengths(capsys, monkeypatch):
@@ -116,132 +116,74 @@ def test_oracle_refuses_before_building_shorter_lengths(capsys, monkeypatch):
     assert lengths == [5]
 
 
-def test_group_cap(capsys):
-    code, out, err = run(capsys, "group", "--a", "1,2", "--n", "40")
-    assert code == 1 and out == "" and err == "error: n=40 exceeds the brute-force cap 32\n"
-    code, out, err = run(capsys, "group", "--a", "1,2", "--n", "40", "--cap", "50")
-    assert code == 0 and not err
-    assert "order = 40" in out.splitlines() and "oracle_match = true" in out
+def test_group_command():
+    replay("group.readme", "group.negative-pair")
 
 
-@pytest.mark.parametrize("argv", [
-    ["eval", "[0;2,2]"],
-    ["invariant", "2/5"],
-    ["rational", "--n", "5", "--m", "2"],
-    ["iso", "--e", "5,-1,1,0,2", "--f", "5,1,-1,2,0"],
-    ["tensor", "--n", "6", "--m", "2", "--t", "2"],
-    ["tower", "2/5"],
-], ids=lambda argv: argv[0])
-def test_cap_is_rejected_outside_oracle_and_group(capsys, argv):
-    assert main([*argv, "--cap", "10"]) == 2
-    assert "unrecognized arguments: --cap 10" in capsys.readouterr().err
+def test_group_order_twelve():
+    replay("group.order-twelve")
 
 
-def test_group_command(capsys):
-    code, out, _ = run(capsys, "group", "--a", "-1,1", "--n", "5")
-    assert code == 0
-    assert "d = 1" in out and "order = 5" in out and "oracle_match = true" in out
-    code, out, _ = run(capsys, "group", "--a", "-1,-1", "--n", "5")
-    assert code == 0
-    assert "d = 1" in out and "order = 5" in out and "oracle_match = true" in out
+def test_group_degenerate_exits_1():
+    replay("group.degenerate")
 
 
-def test_group_order_twelve(capsys):
-    code, out, _ = run(capsys, "group", "--a", "2,4", "--n", "6")
-    assert code == 0 and "order = 12" in out
+def test_group_index_pair_needs_two_integers():
+    replay("group.three-integers")
 
 
-def test_group_degenerate_exits_1(capsys):
-    code, _, err = run(capsys, "group", "--a", "0,0", "--n", "3")
-    assert code == 1 and "degenerate" in err
+def test_group_cap():
+    replay("group.cap-default-forty", "group.cap-raised")
 
 
-def test_group_index_pair_needs_two_integers(capsys):
-    code, out, err = run(capsys, "group", "--a", "1,2,3", "--n", "5")
-    assert code == 2 and out == ""
-    assert "expected 2 comma-separated integers, found 3" in err
+@pytest.mark.parametrize("command", ["eval", "invariant", "rational", "iso", "tensor", "tower"])
+def test_cap_is_rejected_outside_oracle_and_group(command):
+    replay(f"{command}.cap-rejected")
 
 
-def test_iso_command(capsys):
-    code, out, _ = run(capsys, "iso", "--e", "5,-1,1,0,2", "--f", "5,-1,1,1,1")
-    assert code == 0 and out == "true\n"
-    code, out, _ = run(capsys, "iso", "--e", "5,-1,1,0,2", "--f", "7,-1,1,0,2")
-    assert code == 0 and out == "false\n"
+@pytest.mark.parametrize("command", ["eval", "oracle", "group", "rational"])
+def test_malformed_negative_values_read_as_typed(command):
+    replay(f"{command}.malformed-negative")
 
 
-def test_tensor_command(capsys):
-    code, out, _ = run(capsys, "tensor", "--n", "6", "--m", "2", "--t", "2")
-    assert code == 0
-    assert out.splitlines() == ["p = 3", "l = 1"]
+def test_iso_command():
+    replay("iso.defect-moved", "iso.size-differs")
 
 
-def test_tensor_no_factorization_exits_1(capsys):
-    code, _, err = run(capsys, "tensor", "--n", "5", "--m", "2", "--t", "2")
-    assert code == 1 and "no factorization" in err
+def test_json_booleans_stay_boolean():
+    replay("iso.readme.json")
 
 
-def test_tower_command(capsys):
-    code, out, _ = run(capsys, "tower", "2/5", "--parity", "even")
-    assert code == 0
-    assert out.splitlines() == [
-        "level 1: dims=[2,1] mult=[[2,1],[1,0]]",
-        "level 2: dims=[5,2] mult=null",
-    ]
+def test_tensor_command():
+    replay("tensor.readme")
 
 
-def test_tower_odd_parity(capsys):
-    code, out, _ = run(capsys, "tower", "2/5", "--parity", "odd")
-    assert code == 0
-    assert out.splitlines()[-1] == "level 3: dims=[5,3] mult=null"
+def test_tensor_no_factorization_exits_1():
+    replay("tensor.no-factorization")
 
 
-def test_json_is_deterministic_and_stringly_typed(capsys):
-    code, out1, _ = run(capsys, "invariant", "2/5", "--format", "json")
-    assert code == 0
-    code, out2, _ = run(capsys, "invariant", "2/5", "--format", "json")
-    assert out1 == out2
-    record = json.loads(out1)
-    assert set(record) == {"command", "inputs", "outputs"}
-    assert record["command"] == "invariant"
-    assert record["outputs"]["n"] == "5"
-    assert record["outputs"]["k"] == ["0", "2"]
-    assert record["outputs"]["theta"] == "2/5"
+def test_tower_command():
+    replay("tower.readme")
 
 
-def test_json_booleans_stay_boolean(capsys):
-    code, out, _ = run(capsys, "iso", "--e", "5,-1,1,0,2", "--f", "5,1,-1,2,0", "--format", "json")
-    assert code == 0
-    assert json.loads(out)["outputs"]["isomorphic"] is True
+def test_tower_odd_parity():
+    replay("tower.odd")
 
 
-def test_json_tower_levels(capsys):
-    code, out, _ = run(capsys, "tower", "2/5", "--format", "json")
-    record = json.loads(out)
-    levels = record["outputs"]["levels"]
-    assert levels[0] == {"level": "1", "dims": ["2", "1"], "mult": [["2", "1"], ["1", "0"]]}
-    assert levels[1]["mult"] is None
+def test_json_tower_levels():
+    replay("tower.default.json")
 
 
-def test_eval_json_inf(capsys):
-    code, out, _ = run(capsys, "eval", "[1,0]", "--format", "json")
-    assert json.loads(out)["outputs"]["value"] == "inf"
-
-
-def test_integers_beyond_the_str_digit_limit(capsys):
-    # digits built as text, so no int/str conversion happens in the test itself
-    num, den = "1" + "0" * 4400, "1" + "0" * 4399 + "1"
+def test_integers_beyond_the_str_digit_limit():
+    # main lifts the int/str digit limit for its run only
     limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
-    code, out, err = run(capsys, "invariant", f"{num}/{den}", "--format", "json")
-    assert code == 0, err
-    assert json.loads(out)["outputs"]["n"] == den
+    replay("invariant.digits-4400.json")
     if limit is not None:
         assert sys.get_int_max_str_digits() == limit
 
 
 def test_literal_digit_bound(capsys):
     bound = 100_000  # documented in README "Command line"
-    code, out, _ = run(capsys, "rational", "--n", "1" * 5000 + "3", "--m", "2", "--format", "json")
-    assert code == 0 and json.loads(out)["outputs"]["theta"].endswith("/" + "1" * 5000 + "3")
     at_bound = "1" + "0" * (bound - 1)
     code, _, err = run(capsys, "invariant", at_bound)
     assert code == 1 and "0 <= r < 1" in err
@@ -249,35 +191,6 @@ def test_literal_digit_bound(capsys):
     assert code == 1 and out == ""
     assert err == (f"error: an integer literal has {bound + 1} digits;"
                    f" at most {bound} are accepted\n")
-
-
-@pytest.mark.parametrize("argv", [
-    ["invariant", f"1/{2**200}"],
-    ["rational", "--n", str(2**200), "--m", str(2**200 - 1)],
-], ids=["invariant", "rational"])
-def test_height_bound_exits_1(capsys, argv):
-    # both have k-sequence height 2**200 - 1, far above the dense-entry bound
-    code, out, err = run(capsys, *argv)
-    assert code == 1 and out == ""
-    assert err.startswith("error: k-sequence height h = ") and err.count("\n") == 1
-    assert "exceeds the bound 1000000" in err
-
-
-def test_term_bound_exits_1(capsys):
-    code, out, err = run(capsys, "eval", "[1,(0,1)^1000000000000000]")
-    assert code == 1 and out == ""
-    assert err == ("error: the literal expands to at least 2000000000000000 terms;"
-                   " at most 1000000 are accepted\n")
-
-
-@pytest.mark.parametrize("argv,message", [
-    (["eval", "-1"], "parse error: expected '[', found '-1' (at position 0)"),
-    (["oracle", "--k", "-1,x"], "found '-1,x' (at position 0)"),
-    (["group", "--a", "-1,x", "--n", "5"], "found '-1,x' (at position 0)"),
-    (["rational", "--n", "-5x", "--m", "2"], "argument --n: invalid int value: '-5x'"),
-], ids=["eval", "oracle", "group", "rational"])
-def test_malformed_negative_values_read_as_typed(capsys, argv, message):
-    assert main(argv) == 2 and message in capsys.readouterr().err
 
 
 def test_help_exits_0(capsys):

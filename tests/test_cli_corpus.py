@@ -46,9 +46,9 @@ def record(id: str, argv: list[str]) -> dict:
 ENTRIES = {entry["id"]: entry for entry in json.loads(CORPUS.read_text())}
 
 
-def replay(id: str) -> None:
-    entry = ENTRIES[id]
-    assert record(id, entry["argv"]) == entry
+def replay(*ids: str) -> None:
+    for id in ids:
+        assert record(id, ENTRIES[id]["argv"]) == ENTRIES[id]
 
 
 @pytest.mark.parametrize("id", sorted(ENTRIES))
