@@ -38,11 +38,11 @@ class ContinuedFraction:
 
     def __post_init__(self):
         if type(self.a0) is not int:  # rejects bool, an int subclass
-            raise DomainError(f"a0 must be an integer, got {self.a0!r}")
+            raise DomainError(f"a0 must be an integer, got {_show_int(self.a0)}")
         terms = tuple(self.terms)
         for t in terms:
             if type(t) is not int or t < 0:
-                raise DomainError(f"terms after a0 must be integers >= 0, got {t!r}")
+                raise DomainError(f"terms after a0 must be integers >= 0, got {_show_int(t)}")
         object.__setattr__(self, "terms", terms)
 
     @property
@@ -69,7 +69,7 @@ class KSequence:
         entries = tuple(self.entries)
         for e in entries:
             if type(e) is not int or e < 0:
-                raise DomainError(f"k-sequence entries must be integers >= 0, got {e!r}")
+                raise DomainError(f"k-sequence entries must be integers >= 0, got {_show_int(e)}")
         end = len(entries)
         while end and entries[end - 1] == 0:
             end -= 1
@@ -83,7 +83,7 @@ class KSequence:
     def at(self, i: int) -> int:
         """1-based entry access; 0 beyond the support."""
         if i < 1:
-            raise DomainError(f"k-sequence index must be >= 1, got {i}")
+            raise DomainError(f"k-sequence index must be >= 1, got {_show_int(i)}")
         return self.entries[i - 1] if i <= len(self.entries) else 0
 
     @property
@@ -95,7 +95,7 @@ class KSequence:
         return iter(self.entries)
 
     def __str__(self) -> str:
-        return "(" + ",".join(str(e) for e in self.entries) + ")"
+        return "(" + ",".join(map(_show_int, self.entries)) + ")"
 
 
 def eval_terms(values: Iterable) -> ExtendedRational:
@@ -130,7 +130,7 @@ def expand_simple(r, parity: Parity) -> ContinuedFraction:
     _check_parity(parity)
     r = Fraction(r)
     if not 0 <= r < 1:
-        raise DomainError(f"expand_simple requires 0 <= r < 1, got {r}")
+        raise DomainError(f"expand_simple requires 0 <= r < 1, got {_show_int(r)}")
     if r == 0 and parity == "odd":
         raise DomainError("0 has no odd-parity simple expansion")
     return ContinuedFraction(0, tuple(_simple_terms(r.numerator, r.denominator, parity)))
@@ -223,7 +223,8 @@ def k_value(k: KSequence) -> Fraction:
     terms[2::2] = k.entries
     v = eval_terms(terms)
     if not (v.is_finite and 0 <= (value := v.value) < 1):
-        raise AssertionError(f"k_value of {k} gave {v}, outside [0, 1)")
+        shown = _show_int(value) if v.is_finite else v
+        raise AssertionError(f"k_value of {k} gave {shown}, outside [0, 1)")
     return value
 
 
@@ -239,7 +240,7 @@ def k_value_bounds(k_prefix: Sequence[int], depth: int) -> tuple[Fraction, Fract
     """
     entries = tuple(k_prefix)
     if not all(type(e) is int and e >= 0 for e in entries):
-        raise DomainError(f"k-sequence entries must be integers >= 0, got {entries}")
+        raise DomainError(f"k-sequence entries must be integers >= 0, got {_show_int(entries)}")
     if depth < 0 or depth > len(entries):
         raise DomainError(f"depth must be within the available prefix (0..{len(entries)})")
     truncated = KSequence(entries[:depth])
@@ -256,6 +257,6 @@ def _check_parity(parity) -> None:
 
 def _require_zero_head_simple(cf: ContinuedFraction, where: str) -> None:
     if cf.a0 != 0:
-        raise DomainError(f"{where} requires a0 = 0, got {cf.a0}")
+        raise DomainError(f"{where} requires a0 = 0, got {_show_int(cf.a0)}")
     if not cf.is_simple:
         raise DomainError(f"{where} requires a simple CF (all terms >= 1)")

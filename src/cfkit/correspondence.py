@@ -33,7 +33,7 @@ from .contfrac import (
     convergents,
     k_value,
 )
-from .errors import DomainError
+from .errors import DomainError, _show_int
 from .paths import path_counts
 
 
@@ -74,11 +74,11 @@ def rational_to_invariant(r) -> RationalInvariant:
     """Full forward pipeline for a rational in [0,1)."""
     theta = Fraction(r)
     if not 0 <= theta < 1:
-        raise DomainError(f"rational_to_invariant requires 0 <= r < 1, got {theta}")
+        raise DomainError(f"rational_to_invariant requires 0 <= r < 1, got {_show_int(theta)}")
     k = KSequence(_k_entries(_simple_terms(theta.numerator, theta.denominator, "even")))
     n, m = k_to_invariant(k)
     if n != theta.denominator:
-        raise AssertionError(f"forward map gave n={n} for {theta}")
+        raise AssertionError(f"forward map gave n={_show_int(n)} for {_show_int(theta)}")
     return RationalInvariant(n=n, m=m, k=k, theta=theta)
 
 
@@ -91,15 +91,15 @@ def invariant_to_k(n: int, m: int) -> KSequence:
     if not (type(n) is int and type(m) is int):
         raise DomainError("n and m must be integers")
     if n < 1:
-        raise DomainError(f"n must be >= 1, got {n}")
+        raise DomainError(f"n must be >= 1, got {_show_int(n)}")
     if n == 1:
         if m != 0:
-            raise DomainError(f"for n = 1 the only defect class is m = 0, got {m}")
+            raise DomainError(f"for n = 1 the only defect class is m = 0, got {_show_int(m)}")
         return KSequence()
     if not 0 < m < n:
-        raise DomainError(f"m must satisfy 0 < m < n, got m={m}, n={n}")
+        raise DomainError(f"m must satisfy 0 < m < n, got m={_show_int(m)}, n={_show_int(n)}")
     if gcd(m, n) != 1:
-        raise DomainError(f"gcd(m, n) must be 1, got gcd({m}, {n}) = {gcd(m, n)}")
+        raise DomainError(f"gcd(m, n) must be 1, got gcd{_show_int((m, n))} = {_show_int(gcd(m, n))}")
 
     return KSequence(_k_entries(_simple_terms(-pow(m, -1, n) % n, n, "even")))
 
@@ -108,7 +108,7 @@ def invariant_to_rational(n: int, m: int) -> Fraction:
     """The rational in [0,1) attached to an invariant pair; denominator is n."""
     theta = k_value(invariant_to_k(n, m))
     if theta.denominator != n:
-        raise AssertionError(f"reverse map gave {theta} for n={n}")
+        raise AssertionError(f"reverse map gave {_show_int(theta)} for n={_show_int(n)}")
     return theta
 
 
@@ -119,7 +119,7 @@ def dimension_tower(cf: ContinuedFraction, depth: int) -> list[TowerLevel]:
     multiplicity matrix toward level i+1 when a term a_{i+1} exists.
     """
     if depth < 0 or depth > len(cf.terms):
-        raise DomainError(f"depth must be within 0..{len(cf.terms)}, got {depth}")
+        raise DomainError(f"depth must be within 0..{len(cf.terms)}, got {_show_int(depth)}")
     qs = [q for _, q in convergents(cf)]
     levels = []
     for i in range(1, depth + 1):
@@ -138,7 +138,7 @@ def rational_candidates(r) -> tuple[tuple[int, int], tuple[int, int]]:
     """
     theta = Fraction(r)
     if not 0 < theta < 1:
-        raise DomainError(f"rational_candidates requires 0 < r < 1, got {theta}")
+        raise DomainError(f"rational_candidates requires 0 < r < 1, got {_show_int(theta)}")
     q = theta.denominator
     x = -pow(theta.numerator, -1, q) % q
     return (q, x), (q, q - x)

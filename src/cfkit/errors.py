@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+from fractions import Fraction
+
 
 class DomainError(ValueError):
     """An input violates a documented precondition."""
@@ -12,13 +14,20 @@ class CapExceeded(DomainError):
 _SHOWN_BOUND = 10**100  # integers below it in magnitude print in decimal
 
 
-def _show_int(n: int) -> str:
-    """``n`` in decimal up to 100 digits, else by bit length.
+def _show_int(value) -> str:
+    """``value`` as ``repr`` shows it, but an integer of over 100 digits by bit length.
 
-    A message must not convert a long integer to decimal: the conversion is
-    quadratic in the digit count and, past the interpreter's int/str digit
-    limit, raises a bare ``ValueError`` in place of the intended error.
+    Integers inside a ``Fraction`` (shown as ``p/q``) or a tuple are shown
+    the same way.  A message must not convert a long integer to decimal: the
+    conversion is quadratic in the digit count and, past the interpreter's
+    int/str digit limit, raises a bare ``ValueError`` in place of the
+    intended error.
     """
-    if abs(n) < _SHOWN_BOUND:
-        return str(n)
-    return f"{'-' if n < 0 else ''}<{n.bit_length()}-bit integer>"
+    if isinstance(value, tuple):
+        return "(" + ", ".join(map(_show_int, value)) + ("," if len(value) == 1 else "") + ")"
+    if isinstance(value, Fraction):
+        shown = _show_int(value.numerator)
+        return shown if value.denominator == 1 else f"{shown}/{_show_int(value.denominator)}"
+    if not isinstance(value, int) or abs(value) < _SHOWN_BOUND:
+        return repr(value)
+    return f"{'-' if value < 0 else ''}<{value.bit_length()}-bit integer>"

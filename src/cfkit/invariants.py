@@ -57,11 +57,12 @@ class ExtensionDescriptor:
     def __post_init__(self):
         index, defects = tuple(self.index), tuple(self.defects)
         if not (len(index) == len(defects) == 2 and all(type(x) is int for x in (self.n, *index, *defects))):
-            raise DomainError(f"n and the index and defect pairs must be integers, got {self!r}")
+            raise DomainError(f"n and the index and defect pairs must be integers,"
+                              f" got n={_show_int(self.n)}, index={_show_int(index)}, defects={_show_int(defects)}")
         if self.n < 1:
-            raise DomainError(f"matrix size n must be >= 1, got {self.n}")
+            raise DomainError(f"matrix size n must be >= 1, got {_show_int(self.n)}")
         if defects[0] < 0 or defects[1] < 0:
-            raise DomainError(f"defects must be >= 0, got {defects}")
+            raise DomainError(f"defects must be >= 0, got {_show_int(defects)}")
         object.__setattr__(self, "index", index)
         object.__setattr__(self, "defects", defects)
 
@@ -88,7 +89,7 @@ def _bezout_companion(a_prime: IndexPair) -> IndexPair:
         b_plus = pow(am, -1, abs(ap))
         b_minus = (am * b_plus - 1) // ap
     if -ap * b_minus + am * b_plus != 1:
-        raise AssertionError(f"companion ({b_plus}, {b_minus}) of {a_prime} breaks the pairing")
+        raise AssertionError(f"companion {_show_int((b_plus, b_minus))} of {_show_int(a_prime)} breaks the pairing")
     return (b_plus, b_minus)
 
 
@@ -96,7 +97,7 @@ def _index_pair(a, n) -> IndexPair:
     """``a`` as a tuple, after checking that it and ``n`` hold only integers."""
     a = tuple(a)
     if not (len(a) == 2 and all(type(x) is int for x in (*a, n))):
-        raise DomainError(f"index pair and n must be integers, got a={a!r}, n={n!r}")
+        raise DomainError(f"index pair and n must be integers, got a={_show_int(a)}, n={_show_int(n)}")
     return a
 
 
@@ -104,7 +105,7 @@ def build_quotient(a: IndexPair, n: int) -> QuotientGroup:
     """Construct the presentation of Z^2/(Za + nZ^2) for a != (0,0), n >= 1."""
     a = _index_pair(a, n)
     if n < 1:
-        raise DomainError(f"n must be >= 1, got {n}")
+        raise DomainError(f"n must be >= 1, got {_show_int(n)}")
     if a == (0, 0):
         raise DomainError("degenerate index (0, 0)")
     c = gcd(a[0], a[1])
@@ -124,7 +125,7 @@ def project(k: tuple[int, int], q: QuotientGroup) -> tuple[int, int]:
 def defect_class_mod_n(defects: DefectPair, n: int) -> int:
     """(k_+ + k_-) mod n, the defect class for index (-1, 1) where d = 1."""
     if n < 1:
-        raise DomainError(f"n must be >= 1, got {n}")
+        raise DomainError(f"n must be >= 1, got {_show_int(n)}")
     return (defects[0] + defects[1]) % n
 
 
@@ -187,12 +188,12 @@ def tensor_factor(e: ExtensionDescriptor, t: int) -> tuple[int, int]:
     necessary, so anything else raises.
     """
     if symmetry_orbit(e.index) != (-1, 1):
-        raise DomainError(f"tensor factorization needs index (-1,1) up to symmetry, got {e.index}")
+        raise DomainError(f"tensor factorization needs index (-1,1) up to symmetry, got {_show_int(e.index)}")
     if t < 1:
-        raise DomainError(f"tensor size t must be >= 1, got {t}")
+        raise DomainError(f"tensor size t must be >= 1, got {_show_int(t)}")
     m = defect_class_mod_n(e.defects, e.n)
     if e.n % t != 0 or m % t != 0:
-        raise DomainError(f"no factorization: {t} does not divide both m={m} and n={e.n}")
+        raise DomainError(f"no factorization: {_show_int(t)} does not divide both m={_show_int(m)} and n={_show_int(e.n)}")
     return (e.n // t, m // t)
 
 
@@ -253,7 +254,7 @@ def brute_force_quotient(a: IndexPair, n: int, cap: int = BRUTE_FORCE_CAP) -> Br
     if a == (0, 0):
         raise DomainError("degenerate index (0, 0)")
     if n < 1:
-        raise DomainError(f"n must be >= 1, got {n}")
+        raise DomainError(f"n must be >= 1, got {_show_int(n)}")
     if n > cap:
         raise CapExceeded(f"n={_show_int(n)} exceeds the brute-force cap {_show_int(cap)}")
     ap, am = a[0] % n, a[1] % n

@@ -92,7 +92,7 @@ class _Parser:
             raise ParseError(f"expected an integer, found {found}", pos)
         value = _int(tok, pos)
         if minimum is not None and value < minimum:
-            raise ParseError(f"expected an integer >= {minimum}, found {value}", pos)
+            raise ParseError(f"expected an integer >= {minimum}, found {_show_int(value)}", pos)
         self.i += 1
         return value
 

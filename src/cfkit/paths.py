@@ -128,7 +128,7 @@ def enumerate_paths(k: KSequence, length: int, cap: int = DEFAULT_CAP) -> list[P
             ]
     if len(words) != counts.per_length[length]:
         raise AssertionError(f"enumerated {len(words)} words of length {length}, "
-                             f"counted {counts.per_length[length]}")
+                             f"counted {_show_int(counts.per_length[length])}")
     return words
 
 

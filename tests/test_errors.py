@@ -3,10 +3,10 @@ from fractions import Fraction
 
 import pytest
 
-from cfkit.contfrac import KSequence
-from cfkit.correspondence import invariant_to_k, rational_to_invariant
-from cfkit.errors import CapExceeded, _show_int
-from cfkit.invariants import brute_force_quotient
+from cfkit.contfrac import ContinuedFraction, KSequence, expand_simple, k_value_bounds, simple_to_k
+from cfkit.correspondence import dimension_tower, invariant_to_k, rational_candidates, rational_to_invariant
+from cfkit.errors import CapExceeded, DomainError, _show_int
+from cfkit.invariants import ExtensionDescriptor, brute_force_quotient, build_quotient, tensor_factor
 from cfkit.literals import parse_cf
 from cfkit.paths import enumerate_paths
 
@@ -16,6 +16,10 @@ def test_show_int_prints_up_to_100_digits():
         assert _show_int(n) == str(n)
     assert _show_int(10**100) == "<333-bit integer>"
     assert _show_int(-(2**400)) == "-<401-bit integer>"
+    assert _show_int(Fraction(-2, 5)) == "-2/5" and _show_int(Fraction(3)) == "3"
+    assert _show_int(Fraction(1, 10**100)) == "1/<333-bit integer>"
+    assert _show_int((1, -(2**400))) == "(1, -<401-bit integer>)" and _show_int((7,)) == "(7,)"
+    assert _show_int(1.5) == "1.5" and _show_int("x") == "'x'"
 
 
 @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
@@ -39,3 +43,54 @@ def test_cap_messages_past_the_int_limit(call, quoted):
         sys.set_int_max_str_digits(saved)
     message = str(exc.value)
     assert quoted in message and "-bit integer>" in message and len(message) < 200
+
+
+_TOWER_CF = ContinuedFraction(0, (2, 2))
+_INDEX_ONE = ExtensionDescriptor(n=6, index=(-1, 1), defects=(2, 0))
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="this interpreter has no int/str digit limit")
+@pytest.mark.parametrize("call", [
+    lambda big: invariant_to_k(1, big),
+    lambda big: invariant_to_k(5, big),
+    lambda big: invariant_to_k(-big, 1),
+    lambda big: invariant_to_k(2 * big, 2 * (big // 10)),
+    lambda big: rational_to_invariant(Fraction(big)),
+    lambda big: rational_candidates(Fraction(-1, big)),
+    lambda big: expand_simple(big, "even"),
+    lambda big: dimension_tower(_TOWER_CF, big),
+    lambda big: KSequence((1,)).at(-big),
+    lambda big: KSequence((-big,)),
+    lambda big: ContinuedFraction(0, (-big,)),
+    lambda big: k_value_bounds((-big,), 1),
+    lambda big: simple_to_k(ContinuedFraction(big, (1, 1))),
+    lambda big: build_quotient((1, 1), -big),
+    lambda big: build_quotient((big, 0.5), 5),
+    lambda big: brute_force_quotient((1, 1), -big),
+    lambda big: ExtensionDescriptor(n=-big, index=(1, 1), defects=(0, 0)),
+    lambda big: ExtensionDescriptor(n=5, index=(1, 1), defects=(-big, 0)),
+    lambda big: ExtensionDescriptor(n=big, index=(1, 1.5), defects=(0, 0)),
+    lambda big: tensor_factor(ExtensionDescriptor(n=5, index=(big, 1), defects=(0, 0)), 1),
+    lambda big: tensor_factor(_INDEX_ONE, -big),
+    lambda big: tensor_factor(_INDEX_ONE, big),
+], ids=[
+    "invariant_to_k-n-one", "invariant_to_k-m", "invariant_to_k-n", "invariant_to_k-gcd",
+    "rational_to_invariant", "rational_candidates", "expand_simple", "dimension_tower",
+    "KSequence.at", "KSequence", "ContinuedFraction", "k_value_bounds", "simple_to_k",
+    "build_quotient", "build_quotient-types", "brute_force_quotient",
+    "ExtensionDescriptor-n", "ExtensionDescriptor-defects", "ExtensionDescriptor-types",
+    "tensor_factor-index", "tensor_factor-t", "tensor_factor-divides",
+])
+def test_domain_messages_past_the_int_limit(call):
+    # each message quotes an integer of more digits than str() may convert
+    limit = sys.int_info.default_max_str_digits
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        with pytest.raises(DomainError) as exc:
+            call(10**(limit + 1))
+    finally:
+        sys.set_int_max_str_digits(saved)
+    message = str(exc.value)
+    assert "-bit integer>" in message and len(message) < 200
