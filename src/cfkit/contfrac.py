@@ -241,8 +241,8 @@ def k_value_bounds(k_prefix: Sequence[int], depth: int) -> tuple[Fraction, Fract
     entries = tuple(k_prefix)
     if not all(type(e) is int and e >= 0 for e in entries):
         raise DomainError(f"k-sequence entries must be integers >= 0, got {_show_int(entries)}")
-    if depth < 0 or depth > len(entries):
-        raise DomainError(f"depth must be within the available prefix (0..{len(entries)})")
+    if type(depth) is not int or not 0 <= depth <= len(entries):
+        raise DomainError(f"depth must be an integer within 0..{len(entries)}, got {_show_int(depth)}")
     truncated = KSequence(entries[:depth])
     simple_terms = k_to_simple(truncated).terms if truncated.h else ()
     gap_min = depth - truncated.h + 1  # least gap to the next support point

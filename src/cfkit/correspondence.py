@@ -118,6 +118,8 @@ def dimension_tower(cf: ContinuedFraction, depth: int) -> list[TowerLevel]:
     Level i has dims (q_i, q_{i-1}) from the convergent denominators and the
     multiplicity matrix toward level i+1 when a term a_{i+1} exists.
     """
+    if type(depth) is not int:
+        raise DomainError(f"depth must be an integer, got {_show_int(depth)}")
     if depth < 0 or depth > len(cf.terms):
         raise DomainError(f"depth must be within 0..{len(cf.terms)}, got {_show_int(depth)}")
     qs = [q for _, q in convergents(cf)]

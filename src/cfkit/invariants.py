@@ -124,8 +124,8 @@ def project(k: tuple[int, int], q: QuotientGroup) -> tuple[int, int]:
 
 def defect_class_mod_n(defects: DefectPair, n: int) -> int:
     """(k_+ + k_-) mod n, the defect class for index (-1, 1) where d = 1."""
-    if n < 1:
-        raise DomainError(f"n must be >= 1, got {_show_int(n)}")
+    if type(n) is not int or n < 1:
+        raise DomainError(f"n must be an integer >= 1, got {_show_int(n)}")
     return (defects[0] + defects[1]) % n
 
 
@@ -189,6 +189,8 @@ def tensor_factor(e: ExtensionDescriptor, t: int) -> tuple[int, int]:
     """
     if symmetry_orbit(e.index) != (-1, 1):
         raise DomainError(f"tensor factorization needs index (-1,1) up to symmetry, got {_show_int(e.index)}")
+    if type(t) is not int:
+        raise DomainError(f"tensor size t must be an integer, got {_show_int(t)}")
     if t < 1:
         raise DomainError(f"tensor size t must be >= 1, got {_show_int(t)}")
     m = defect_class_mod_n(e.defects, e.n)

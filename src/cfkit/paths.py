@@ -103,8 +103,8 @@ def enumerate_paths(k: KSequence, length: int, cap: int = DEFAULT_CAP) -> list[P
     predicted cumulative count at ``length`` exceeds ``cap``; no level holds
     more prefixes than there are final words.
     """
-    if length < 0:
-        raise DomainError("length must be >= 0")
+    if type(length) is not int or length < 0:
+        raise DomainError(f"length must be an integer >= 0, got {_show_int(length)}")
     counts = path_counts(k)
     predicted = counts.cumulative[min(length, k.h)]
     if predicted > cap:

@@ -104,6 +104,7 @@ def test_expand_round_trips_both_parities(r):
         cf = expand_simple(r, parity)
         assert cf.a0 == 0 and cf.is_simple
         assert (len(cf.terms) % 2 == 0) == (parity == "even")
+        assert len(cf) == len(cf.terms)
         assert eval_cf(cf) == finite(r)
 
 
@@ -153,6 +154,8 @@ def test_ksequence_normalization():
     assert KSequence(()).h == 0
     assert KSequence((0, 0)).h == 0
     assert KSequence((1,) + (0,) * 200_000).h == 1
+    assert list(KSequence((0, 2))) == [0, 2] and str(KSequence((0, 2))) == "(0,2)"
+    assert str(KSequence((1, 10**100))) == "(1,<333-bit integer>)"
     with pytest.raises(DomainError):
         KSequence((1, -1))
     with pytest.raises(DomainError):
@@ -256,6 +259,9 @@ def test_bounds_depth_validation():
         k_value_bounds([True, 1], 2)  # bool is not an integer here
     with pytest.raises(DomainError):
         k_value_bounds([1, 1.0], 1)  # untrusted entries are checked too
+    for depth in (1.0, True):
+        with pytest.raises(DomainError):
+            k_value_bounds([1], depth)
 
 
 def bounds_by_folds(prefix, depth):

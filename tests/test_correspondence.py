@@ -253,8 +253,9 @@ def test_tower_final_dims_fibonacci():
 def test_tower_depth_validation():
     with pytest.raises(DomainError):
         dimension_tower(ContinuedFraction(0, (2, 2)), 3)
-    with pytest.raises(DomainError):
-        dimension_tower(ContinuedFraction(0, (2, 2)), -1)
+    for depth in (-1, 1.0, True):
+        with pytest.raises(DomainError):
+            dimension_tower(ContinuedFraction(0, (2, 2)), depth)
 
 
 def test_tower_telescopes():

@@ -92,6 +92,9 @@ def test_defect_class_examples():
     assert defect_class_mod_n((0, 3), 5) == 3
     assert defect_class_mod_n((0, 0), 1) == 0
     assert defect_class_mod_n((2, 3), 5) == 0
+    for n in (0, 2.5, True):
+        with pytest.raises(DomainError):
+            defect_class_mod_n((1, 2), n)
 
 
 def test_symmetry_orbit_examples():
@@ -279,6 +282,9 @@ def test_tensor_factor_examples():
     assert tensor_factor(ExtensionDescriptor(5, (-1, 1), (2, 0)), 1) == (5, 2)
     with pytest.raises(DomainError):
         tensor_factor(ExtensionDescriptor(5, (-1, 1), (2, 0)), 2)
+    for t in (2.0, True):  # not read as 2 or 1, which factor (6, 2)
+        with pytest.raises(DomainError):
+            tensor_factor(ExtensionDescriptor(6, (-1, 1), (2, 0)), t)
     with pytest.raises(DomainError):
         tensor_factor(ExtensionDescriptor(6, (1, 2), (2, 0)), 2)
 

@@ -199,8 +199,9 @@ def test_counts_beyond_support_stay_flat():
 
 
 def test_enumerate_rejects_negative_length():
-    with pytest.raises(DomainError):
-        enumerate_paths(KSequence((1,)), -1)
+    for length in (-1, 2.0, True):
+        with pytest.raises(DomainError):
+            enumerate_paths(KSequence((1,)), length)
 
 
 @pytest.mark.parametrize("edge, text", [
