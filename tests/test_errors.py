@@ -22,8 +22,24 @@ def test_show_int_prints_up_to_100_digits():
     assert _show_int(1.5) == "1.5" and _show_int("x") == "'x'"
 
 
-@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
-                    reason="this interpreter has no int/str digit limit")
+past_the_int_limit = pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                                        reason="this interpreter has no int/str digit limit")
+
+
+def _message_at_the_int_limit(call, error) -> str:
+    """The message of the ``error`` that ``call(limit)`` raises at the default int/str digit limit."""
+    limit = sys.int_info.default_max_str_digits
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        with pytest.raises(error) as exc:
+            call(limit)
+    finally:
+        sys.set_int_max_str_digits(saved)
+    return str(exc.value)
+
+
+@past_the_int_limit
 @pytest.mark.parametrize("call, quoted", [
     (lambda limit: rational_to_invariant(Fraction(1, 10**(limit + 1))), "h = <"),
     (lambda limit: invariant_to_k(10**(limit + 1) + 1, 10**(limit + 1)), "h = <"),
@@ -33,15 +49,7 @@ def test_show_int_prints_up_to_100_digits():
 ], ids=["rational_to_invariant", "invariant_to_k", "brute_force_quotient", "enumerate_paths", "parse_cf"])
 def test_cap_messages_past_the_int_limit(call, quoted):
     # each bound is passed by an integer of more digits than str() may convert
-    limit = sys.int_info.default_max_str_digits
-    saved = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(limit)
-    try:
-        with pytest.raises(CapExceeded) as exc:
-            call(limit)
-    finally:
-        sys.set_int_max_str_digits(saved)
-    message = str(exc.value)
+    message = _message_at_the_int_limit(call, CapExceeded)
     assert quoted in message and "-bit integer>" in message and len(message) < 200
 
 
@@ -49,8 +57,7 @@ _TOWER_CF = ContinuedFraction(0, (2, 2))
 _INDEX_ONE = ExtensionDescriptor(n=6, index=(-1, 1), defects=(2, 0))
 
 
-@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
-                    reason="this interpreter has no int/str digit limit")
+@past_the_int_limit
 @pytest.mark.parametrize("call", [
     lambda big: invariant_to_k(1, big),
     lambda big: invariant_to_k(5, big),
@@ -84,13 +91,5 @@ _INDEX_ONE = ExtensionDescriptor(n=6, index=(-1, 1), defects=(2, 0))
 ])
 def test_domain_messages_past_the_int_limit(call):
     # each message quotes an integer of more digits than str() may convert
-    limit = sys.int_info.default_max_str_digits
-    saved = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(limit)
-    try:
-        with pytest.raises(DomainError) as exc:
-            call(10**(limit + 1))
-    finally:
-        sys.set_int_max_str_digits(saved)
-    message = str(exc.value)
+    message = _message_at_the_int_limit(lambda limit: call(10**(limit + 1)), DomainError)
     assert "-bit integer>" in message and len(message) < 200
