@@ -29,6 +29,11 @@ DefectPair = tuple[int, int]
 
 BRUTE_FORCE_CAP = 32
 
+# The brute-force addition table has (d*n)^2 entries, at least the n^2 points
+# of the box, and is built only up to this size: d = n = 32, the largest case
+# at the default cap, fits exactly.
+_MAX_CELLS = 1 << 20
+
 
 @dataclass(frozen=True)
 class QuotientGroup:
@@ -217,14 +222,28 @@ class BruteForceQuotient:
         return len(self.reps)
 
 
+def _tile(grid: list[int], rows: int, cols: int) -> list[int]:
+    """The row-major ``rows`` x ``cols`` grid tiled 2 x 2, as a row-major list.
+
+    Entry ``(x, y)`` of the result is ``grid[x % rows * cols + y % cols]``.
+    """
+    tiled: list[int] = []
+    for start in range(0, rows * cols, cols):
+        row = grid[start:start + cols]
+        tiled += row
+        tiled += row
+    return tiled * 2
+
+
 def projection_matches_brute_force(q: QuotientGroup, bf: BruteForceQuotient) -> bool:
     """Check the closed-form projection against the enumerated quotient.
 
-    True when the projection restricted to the coset representatives is a
-    bijection onto Z/d x Z/n and respects the enumerated addition table.
+    True when ``bf`` was enumerated for the same ``(a, n)`` as ``q``, and the
+    projection restricted to its coset representatives is a bijection onto
+    Z/d x Z/n that respects the enumerated addition table.
     """
     d, n = q.d, q.n
-    if bf.order != d * n:
+    if (bf.a, bf.n) != (q.a, q.n) or bf.order != d * n:
         return False
     # by_code[u*n + v] is the index of the representative projecting to (u, v).
     by_code = [-1] * (d * n)
@@ -236,7 +255,7 @@ def projection_matches_brute_force(q: QuotientGroup, bf: BruteForceQuotient) -> 
         by_code[u * n + v] = i
         keys.append(u * 2 * n + v)
     # Tiled 2d x 2n, the code of (u1 + u2, v1 + v2) is one lookup at keys[i] + keys[j].
-    tiled = [by_code[u % d * n + v % n] for u in range(2 * d) for v in range(2 * n)]
+    tiled = _tile(by_code, d, n)
     for i, k1 in enumerate(keys):
         if list(bf.table[i]) != [tiled[k1 + k2] for k2 in keys]:
             return False
@@ -250,7 +269,9 @@ def brute_force_quotient(a: IndexPair, n: int, cap: int = BRUTE_FORCE_CAP) -> Br
     box is scanned in lexicographic order, and the first point not yet in a
     coset is the least point of its coset, so ``reps`` comes out sorted.  The
     scan visits each of the n^2 points once; the table has (d*n)^2 entries,
-    up to n^4 when d = gcd(a_+, a_-, n) = n, hence the cap.
+    up to n^4 when d = gcd(a_+, a_-, n) = n, hence the cap.  Whatever the
+    cap, a table of more than 2^20 entries raises :class:`CapExceeded`
+    before anything is allocated.
     """
     a = _index_pair(a, n)
     if a == (0, 0):
@@ -259,6 +280,10 @@ def brute_force_quotient(a: IndexPair, n: int, cap: int = BRUTE_FORCE_CAP) -> Br
         raise DomainError(f"n must be >= 1, got {_show_int(n)}")
     if n > cap:
         raise CapExceeded(f"n={_show_int(n)} exceeds the brute-force cap {_show_int(cap)}")
+    cells = (gcd(a[0], a[1], n) * n) ** 2
+    if cells > _MAX_CELLS:
+        raise CapExceeded(f"n={_show_int(n)} needs an addition table of {_show_int(cells)} entries,"
+                          f" over the bound {_MAX_CELLS}")
     ap, am = a[0] % n, a[1] % n
     coset = [-1] * (n * n)  # coset[x*n + y]: index of the coset of (x, y)
     reps = []
@@ -273,7 +298,7 @@ def brute_force_quotient(a: IndexPair, n: int, cap: int = BRUTE_FORCE_CAP) -> Br
                 coset[px * n + py] = i
                 px, py = (px + ap) % n, (py + am) % n
     # Tiled 2n x 2n, the coset of r1 + r2 is one lookup at flat[r1] + flat[r2].
-    tiled = [coset[x % n * n + y % n] for x in range(2 * n) for y in range(2 * n)]
+    tiled = _tile(coset, n, n)
     flat = [x * 2 * n + y for x, y in reps]
     table = tuple(tuple([tiled[f1 + f2] for f2 in flat]) for f1 in flat)
     return BruteForceQuotient(a=a, n=n, reps=tuple(reps), table=table)

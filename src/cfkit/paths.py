@@ -27,6 +27,13 @@ linear pass over that running total T, which is 1 before f = 1:
 the pass against the quadratic sums.  The enumeration is the independent
 oracle for these counts and for the defect count used by
 :mod:`cfkit.correspondence`.
+
+The enumeration builds words one level at a time.  Its per-word work is one
+tuple concatenation inside a list comprehension, so its cost is the total
+length of the prefixes it builds: about linear in the words returned when
+the walls branch early, but cubic in the length on a long wall-free chain,
+where every prefix is copied at every level (``(0,)*999 + (1,)`` takes
+seconds).
 """
 
 from __future__ import annotations
@@ -65,6 +72,16 @@ class Edge:
         return f"{self.kind[0]}{self.level}"
 
 
+_new = object.__new__
+
+
+def _edge(kind: str, level: int, wall: int | None = None) -> Edge:
+    """An :class:`Edge` built without its checks; the fields must already be valid."""
+    edge = _new(Edge)
+    vars(edge).update(kind=kind, level=level, wall=wall)  # bypasses the frozen __setattr__
+    return edge
+
+
 PathWord = tuple[Edge, ...]
 
 
@@ -95,8 +112,11 @@ def enumerate_paths(k: KSequence, length: int, cap: int = DEFAULT_CAP) -> list[P
     is extended by each admissible level-t edge, tried in the order alpha,
     beta, gamma(1), ..., gamma(k_t).  A prefix ending in beta takes no alpha
     next (alphas precede betas in each wall-free run), and at t = ``length``
-    only the walls are appended.  Each distinct edge is built once per call.
-    Since prefixes and edges are both tried in order, the output is sorted
+    only the walls are appended.  Each distinct edge is built once per call,
+    without re-running the checks of :class:`Edge`, and held as a 1-tuple,
+    so extending a prefix is one tuple concatenation; a prefix ends in beta
+    exactly when its last edge is the previous level's beta edge.  Since
+    prefixes and edges are both tried in order, the output is sorted
     lexicographically on the edge list, edges compared by kind (alpha < beta
     < gamma) and then by wall index.  Length 0 yields the empty word; the
     result is empty when k_length = 0.  Raises :class:`CapExceeded` when the
@@ -114,18 +134,17 @@ def enumerate_paths(k: KSequence, length: int, cap: int = DEFAULT_CAP) -> list[P
     if k.at(length) == 0:
         return []
     words: list[PathWord] = [()]
+    last_beta = None
     for t in range(1, length + 1):
-        walls = tuple(Edge("gamma", t, w) for w in range(1, k.at(t) + 1))
+        walls = [(_edge("gamma", t, w),) for w in range(1, k.at(t) + 1)]
         if t == length:
-            words = [w + (e,) for w in words for e in walls]
+            words = [w + e for w in words for e in walls]
         else:
-            after_beta = (Edge("beta", t), *walls)
-            anywhere = (Edge("alpha", t), *after_beta)
-            words = [
-                w + (e,)
-                for w in words
-                for e in (after_beta if w and w[-1].kind == "beta" else anywhere)
-            ]
+            beta = _edge("beta", t)
+            after_beta = ((beta,), *walls)
+            anywhere = ((_edge("alpha", t),), *after_beta)
+            words = [w + e for w in words for e in (after_beta if w and w[-1] is last_beta else anywhere)]
+            last_beta = beta
     if len(words) != counts.per_length[length]:
         raise AssertionError(f"enumerated {len(words)} words of length {length}, "
                              f"counted {_show_int(counts.per_length[length])}")

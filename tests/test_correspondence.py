@@ -19,7 +19,7 @@ from cfkit.correspondence import (
     rational_to_invariant,
 )
 from cfkit.errors import CapExceeded, DomainError
-from cfkit.paths import defect_by_enumeration
+from cfkit.paths import defect_by_enumeration, path_counts
 
 PINNED = [
     (Fraction(2, 3), 3, 1, (2,)),
@@ -272,6 +272,50 @@ def test_tower_partial_depth_keeps_mult():
     cf = ContinuedFraction(0, (2, 1, 3))
     levels = dimension_tower(cf, 2)
     assert levels[-1].mult == ((3, 1), (1, 0))
+
+
+# --- Bratteli paths (Effros-Shen) -----------------------------------------
+
+def bratteli_end_counts(terms):
+    """Numbers of paths from the root that end at each vertex, level by level.
+
+    The Bratteli diagram has two vertices per level.  At level 0 every path
+    is the empty path at the root, vertex 0 of ``(1, 0)``.  From level i to
+    level i + 1 the multiplicity matrix ``[[a_{i+1}, 1], [1, 0]]`` gives
+    ``mult[t][s]`` edges from vertex s to vertex t.  Paths are listed edge by
+    edge as tuples of ``(source, target, copy)``, and only then counted.
+    """
+    ends = [[()], []]
+    counts = [(1, 0)]
+    for a in terms:
+        mult = ((a, 1), (1, 0))
+        ends = [
+            [path + ((s, t, c),) for s in (0, 1) for path in ends[s] for c in range(mult[t][s])]
+            for t in (0, 1)
+        ]
+        assert all(len(set(paths)) == len(paths) for paths in ends)
+        counts.append((len(ends[0]), len(ends[1])))
+    return counts
+
+
+def test_bratteli_paths_count_towers_invariants_and_path_words():
+    # Two path models count the same thing: the Bratteli diagram of the
+    # even simple expansion, and the normal-form words of the k-sequence.
+    checked = 0
+    for q in range(1, 40):
+        for p in range(q):
+            if gcd(p, q) != 1:
+                continue
+            theta = Fraction(p, q)
+            cf = expand_simple(theta, "even")
+            counts = bratteli_end_counts(cf.terms)
+            inv = rational_to_invariant(theta)
+            assert counts[-1] == (inv.n, inv.m), theta
+            assert [lv.dims for lv in dimension_tower(cf, len(cf.terms))] == counts[1:], theta
+            cumulative = path_counts(inv.k).cumulative
+            assert counts[-1] == (cumulative[inv.k.h], sum(cumulative[:inv.k.h])), theta
+            checked += 1
+    assert checked == 474  # 0/1 and the 473 reduced p/q in (0, 1)
 
 
 # --- terminal dimension candidates ----------------------------------------

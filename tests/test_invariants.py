@@ -10,6 +10,8 @@ from cfkit.errors import CapExceeded, DomainError
 from cfkit.invariants import (
     BruteForceQuotient,
     ExtensionDescriptor,
+    _MAX_CELLS,
+    _tile,
     brute_force_quotient,
     build_quotient,
     defect_class_mod_n,
@@ -130,6 +132,22 @@ def test_brute_force_cap():
         brute_force_quotient((1, 1), 5.0)
 
 
+def test_brute_force_bounds_the_table_whatever_the_cap():
+    # (d*n)^2 table entries: refused before the box or the table is allocated
+    for a, n in [((1, 1), 10**50), ((1, 1), 10**5), ((1, 2), 1025), ((0, 33), 33)]:
+        with pytest.raises(CapExceeded, match=f"over the bound {_MAX_CELLS}"):
+            brute_force_quotient(a, n, cap=n)
+    assert brute_force_quotient((32, 32), 32).order == 32 * 32  # exactly at the bound
+
+
+def test_tile_equals_modular_lookup():
+    for rows, cols in product(range(1, 9), repeat=2):
+        grid = list(range(100, 100 + rows * cols))
+        assert _tile(grid, rows, cols) == [
+            grid[x % rows * cols + y % cols] for x in range(2 * rows) for y in range(2 * cols)
+        ], (rows, cols)
+
+
 def test_brute_force_table_is_a_group():
     bf = brute_force_quotient((2, 4), 6)
     zero = bf.reps.index((0, 0))
@@ -212,6 +230,27 @@ def test_projection_rejects_repeated_images_with_any_table():
     for table in product(product(range(2), repeat=2), repeat=2):
         bf = BruteForceQuotient(a=(1, 1), n=2, reps=((0, 0), (1, 1)), table=table)
         assert not projection_matches_brute_force(q, bf), table
+
+
+def test_projection_rejects_a_quotient_of_another_index():
+    # Relabelled with q's (a, n), 720 of these pairs pass every other check
+    # although bf's cosets are not q's.
+    index = [a for a in product(range(-3, 4), repeat=2) if a != (0, 0)]
+    passed_otherwise = 0
+    for n in range(2, 7):
+        for a in index:
+            q = build_quotient(a, n)
+            own = brute_force_quotient(a, n)
+            assert projection_matches_brute_force(q, own)
+            for b in index:
+                bf = brute_force_quotient(b, n)
+                if b == a or (bf.reps, bf.table) == (own.reps, own.table):
+                    continue
+                assert not projection_matches_brute_force(q, bf), (a, b, n)
+                passed_otherwise += projection_matches_brute_force(q, replace(bf, a=q.a))
+    assert passed_otherwise == 720
+    q, bf = build_quotient((2, 2), 2), brute_force_quotient((1, 1), 4)
+    assert q.order == bf.order and not projection_matches_brute_force(q, bf)
 
 
 def test_projection_rejects_a_wrong_d():

@@ -8,6 +8,7 @@ from cfkit.contfrac import KSequence
 from cfkit.errors import CapExceeded, DomainError
 from cfkit.paths import (
     Edge,
+    _edge,
     defect_by_enumeration,
     enumerate_paths,
     is_normal_form,
@@ -125,6 +126,56 @@ def test_enumerated_words_are_valid_and_distinct():
             assert all(a < b for a, b in zip(keys, keys[1:]))
             assert all(is_normal_form(w, k) for w in words)
             assert len(words) == (per[f] if f <= k.h else 0)
+
+
+def reference_enumeration(k, length):
+    """The level-at-a-time loop on checked ``Edge`` objects, kept as the oracle.
+
+    Every new word appends a fresh ``(e,)`` tuple, and a prefix ends in beta
+    when its last edge's kind says so.
+    """
+    words = [()]
+    for t in range(1, length + 1):
+        walls = tuple(Edge("gamma", t, w) for w in range(1, k.at(t) + 1))
+        if t == length:
+            words = [w + (e,) for w in words for e in walls]
+        else:
+            after_beta = (Edge("beta", t), *walls)
+            anywhere = (Edge("alpha", t), *after_beta)
+            words = [
+                w + (e,)
+                for w in words
+                for e in (after_beta if w and w[-1].kind == "beta" else anywhere)
+            ]
+    return words
+
+
+def fields(words):
+    return [[(type(e), e.kind, e.level, e.wall) for e in w] for w in words]
+
+
+def test_enumeration_equals_reference_loop():
+    # seeded sequences with at most 10^4 words of length <= h keep this fast
+    seeded = [k for k in seeded_sequences(count=100, max_h=9, max_entry=3, seed=12)
+              if path_counts(k).cumulative[-1] <= 10_000][:50]
+    assert len(seeded) == 50 and max(k.h for k in seeded) == 9
+    for k in [*small_sequences(4, 2), *seeded]:
+        for f in range(k.h + 2):
+            words, expected = enumerate_paths(k, f), reference_enumeration(k, f)
+            assert words == expected, (k, f)
+            assert fields(words) == fields(expected), (k, f)
+
+
+def test_internal_edges_behave_like_checked_edges():
+    for kind, level, wall in [("alpha", 1, None), ("beta", 2, None), ("gamma", 3, 2)]:
+        built, checked = _edge(kind, level, wall), Edge(kind, level, wall)
+        assert built == checked and hash(built) == hash(checked)
+        assert (str(built), repr(built)) == (str(checked), repr(checked))
+        assert built != Edge("gamma", 9, 9)
+    for w in enumerate_paths(KSequence((2, 0, 1, 2)), 4):
+        for e in w:
+            checked = Edge(e.kind, e.level, e.wall)
+            assert (e, hash(e), str(e), repr(e)) == (checked, hash(checked), str(checked), repr(checked))
 
 
 def test_normal_form_rejects_beta_before_alpha():
