@@ -6,12 +6,12 @@ lines by default, or, with ``--format json``, a single JSON object
 decimal string so arbitrary precision survives the trip.  Integers of any
 size are accepted up to ``MAX_LITERAL_DIGITS`` (100 000) digits per
 integer literal, and negative values such as ``-1,1`` or ``-1/2`` may stand
-anywhere in the argument list.  Only ``oracle`` and ``group`` take
-``--cap``, the bound on their brute-force enumeration.  Exit codes: 0 on
-success, 1 on domain errors (precondition violations, enumerations above
-``--cap``, literals longer than the digit bound, repetition groups past the
-term bound of :mod:`cfkit.literals`, and k-sequences above the height bound
-of :mod:`cfkit.contfrac`), 2 on parse errors.
+anywhere in the argument list.  Exit codes: 0 on success, 1 on domain
+errors (precondition violations, enumerations past the fixed bounds of
+:mod:`cfkit.paths` and :mod:`cfkit.invariants`, literals longer than the
+digit bound, repetition groups past the term bound of :mod:`cfkit.literals`,
+and k-sequences above the height bound of :mod:`cfkit.contfrac`), 2 on
+parse errors.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ from .correspondence import (
 )
 from .errors import DomainError
 from .invariants import (
-    BRUTE_FORCE_CAP,
     ExtensionDescriptor,
     brute_force_quotient,
     build_quotient,
@@ -40,7 +39,7 @@ from .invariants import (
     tensor_factor,
 )
 from .literals import ParseError, parse_cf, parse_rational, render_cf
-from .paths import DEFAULT_CAP, enumerate_paths, path_counts
+from .paths import enumerate_paths, path_counts
 
 # Digits allowed in one integer literal.  int/str conversion is quadratic in
 # the digit count: `invariant` on two 100 000-digit literals takes about 1.5 s,
@@ -118,11 +117,11 @@ def cmd_rational(args) -> dict:
 
 def cmd_oracle(args) -> dict:
     k = KSequence(tuple(_ints_csv(args.k, what="k-sequence")))
-    counts = path_counts(k)
-    # Longest first, so an over-cap request is refused before shorter lengths are built.
+    # Longest first, and counted in full only after, so an over-bound request fails at once.
     enumerated = [0] * (k.h + 1)
     for f in range(k.h, -1, -1):
-        enumerated[f] = len(enumerate_paths(k, f, cap=args.cap))
+        enumerated[f] = len(enumerate_paths(k, f))
+    counts = path_counts(k)
     defect = sum((k.h - f) * c for f, c in enumerate(enumerated))
     m = sum(counts.cumulative[:k.h])
     return {
@@ -139,7 +138,7 @@ def cmd_oracle(args) -> dict:
 
 def cmd_group(args) -> dict:
     q = build_quotient(tuple(_ints_csv(args.a, count=2, what="index pair")), args.n)
-    bf = brute_force_quotient(q.a, q.n, cap=args.cap)
+    bf = brute_force_quotient(q.a, q.n)
     return {
         "inputs": {"a": q.a, "n": q.n},
         "outputs": {
@@ -212,15 +211,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oracle", parents=[common],
                        help="path counts by recurrence vs. exhaustive enumeration")
-    p.add_argument("--cap", type=int, default=DEFAULT_CAP,
-                   help="most path words of length <= h to enumerate (default: %(default)s)")
     p.add_argument("--k", required=True, help="k-sequence entries, e.g. 1,1")
     p.set_defaults(handler=cmd_oracle)
 
     p = sub.add_parser("group", parents=[common],
                        help="quotient group Z^2/(Za + nZ^2), closed form vs. brute force")
-    p.add_argument("--cap", type=int, default=BRUTE_FORCE_CAP,
-                   help="largest n whose n x n box of cosets is enumerated (default: %(default)s)")
     p.add_argument("--a", required=True, help="index pair, e.g. -1,1")
     p.add_argument("--n", type=int, required=True)
     p.set_defaults(handler=cmd_group)

@@ -8,7 +8,7 @@ class DomainError(ValueError):
 
 
 class CapExceeded(DomainError):
-    """A requested enumeration is larger than the configured cap."""
+    """A requested enumeration is larger than a fixed bound."""
 
 
 _SHOWN_BOUND = 10**100  # integers below it in magnitude print in decimal

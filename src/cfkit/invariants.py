@@ -14,7 +14,8 @@ A = [[0,-1],[1,0]]:
     k  |->  (k^T A b mod d,  k^T A^T a' mod n).
 
 ``brute_force_quotient`` enumerates the cosets directly and is the
-independent oracle for the closed form.
+independent oracle for the closed form, for addition tables of up to 2^20
+entries.
 """
 
 from __future__ import annotations
@@ -27,11 +28,9 @@ from .errors import CapExceeded, DomainError, _show_int
 IndexPair = tuple[int, int]
 DefectPair = tuple[int, int]
 
-BRUTE_FORCE_CAP = 32
-
 # The brute-force addition table has (d*n)^2 entries, at least the n^2 points
-# of the box, and is built only up to this size: d = n = 32, the largest case
-# at the default cap, fits exactly.
+# of the box, and is built only up to this size: d = n = 32, and d = 1 with
+# n = 1024, fit exactly.
 _MAX_CELLS = 1 << 20
 
 
@@ -262,24 +261,21 @@ def projection_matches_brute_force(q: QuotientGroup, bf: BruteForceQuotient) -> 
     return True
 
 
-def brute_force_quotient(a: IndexPair, n: int, cap: int = BRUTE_FORCE_CAP) -> BruteForceQuotient:
+def brute_force_quotient(a: IndexPair, n: int) -> BruteForceQuotient:
     """Enumerate Z^2/(Za + nZ^2): canonical reps and the full addition table.
 
     Multiples of a and of (n,0), (0,n) tile the box [0,n)^2 into cosets.  The
     box is scanned in lexicographic order, and the first point not yet in a
     coset is the least point of its coset, so ``reps`` comes out sorted.  The
     scan visits each of the n^2 points once; the table has (d*n)^2 entries,
-    up to n^4 when d = gcd(a_+, a_-, n) = n, hence the cap.  Whatever the
-    cap, a table of more than 2^20 entries raises :class:`CapExceeded`
-    before anything is allocated.
+    up to n^4 when d = gcd(a_+, a_-, n) = n.  A table of more than 2^20
+    entries raises :class:`CapExceeded` before anything is allocated.
     """
     a = _index_pair(a, n)
     if a == (0, 0):
         raise DomainError("degenerate index (0, 0)")
     if n < 1:
         raise DomainError(f"n must be >= 1, got {_show_int(n)}")
-    if n > cap:
-        raise CapExceeded(f"n={_show_int(n)} exceeds the brute-force cap {_show_int(cap)}")
     cells = (gcd(a[0], a[1], n) * n) ** 2
     if cells > _MAX_CELLS:
         raise CapExceeded(f"n={_show_int(n)} needs an addition table of {_show_int(cells)} entries,"

@@ -26,7 +26,9 @@ linear pass over that running total T, which is 1 before f = 1:
 ``test_counts_match_quadratic_definitions`` in ``tests/test_paths.py`` checks
 the pass against the quadratic sums.  The enumeration is the independent
 oracle for these counts and for the defect count used by
-:mod:`cfkit.correspondence`.
+:mod:`cfkit.correspondence`.  It builds at most ``_MAX_WORDS`` words of at
+most the requested length, checked by the same pass stopped once it passes
+that bound, so a long sequence is never counted at full precision.
 
 The enumeration builds words one level at a time.  Its per-word work is one
 tuple concatenation inside a list comprehension, so its cost is the total
@@ -43,7 +45,7 @@ from dataclasses import dataclass
 from .contfrac import KSequence
 from .errors import CapExceeded, DomainError, _show_int
 
-DEFAULT_CAP = 1_000_000
+_MAX_WORDS = 1_000_000
 
 _KINDS = ("alpha", "beta", "gamma")
 
@@ -105,7 +107,7 @@ def path_counts(k: KSequence) -> PathCounts:
     return PathCounts(tuple(per), tuple(cum))
 
 
-def enumerate_paths(k: KSequence, length: int, cap: int = DEFAULT_CAP) -> list[PathWord]:
+def enumerate_paths(k: KSequence, length: int) -> list[PathWord]:
     """All normal-form words of exactly ``length`` edges ending in a wall edge.
 
     Words are built one level at a time: every valid prefix of length t - 1
@@ -119,16 +121,20 @@ def enumerate_paths(k: KSequence, length: int, cap: int = DEFAULT_CAP) -> list[P
     prefixes and edges are both tried in order, the output is sorted
     lexicographically on the edge list, edges compared by kind (alpha < beta
     < gamma) and then by wall index.  Length 0 yields the empty word; the
-    result is empty when k_length = 0.  Raises :class:`CapExceeded` when the
-    predicted cumulative count at ``length`` exceeds ``cap``; no level holds
-    more prefixes than there are final words.
+    result is empty when k_length = 0.  Raises :class:`CapExceeded` when more
+    than ``_MAX_WORDS`` words have length <= ``length``, that is, when
+    cumulative[min(length, h)] does; no level holds more prefixes than that.
     """
     if type(length) is not int or length < 0:
         raise DomainError(f"length must be an integer >= 0, got {_show_int(length)}")
-    counts = path_counts(k)
-    predicted = counts.cumulative[min(length, k.h)]
-    if predicted > cap:
-        raise CapExceeded(f"predicted word count {_show_int(predicted)} exceeds cap {_show_int(cap)}")
+    # The pass of path_counts through min(length, h), stopped once the count passes the bound.
+    per = cum = total = 1
+    for entry in k.entries[:length]:
+        per = entry * total
+        cum += per
+        if cum > _MAX_WORDS:
+            raise CapExceeded(f"more than {_MAX_WORDS} words of length <= {_show_int(length)} to enumerate")
+        total += cum
     if length == 0:
         return [()]
     if k.at(length) == 0:
@@ -145,9 +151,8 @@ def enumerate_paths(k: KSequence, length: int, cap: int = DEFAULT_CAP) -> list[P
             anywhere = ((_edge("alpha", t),), *after_beta)
             words = [w + e for w in words for e in (after_beta if w and w[-1] is last_beta else anywhere)]
             last_beta = beta
-    if len(words) != counts.per_length[length]:
-        raise AssertionError(f"enumerated {len(words)} words of length {length}, "
-                             f"counted {_show_int(counts.per_length[length])}")
+    if len(words) != per:
+        raise AssertionError(f"enumerated {len(words)} words of length {length}, counted {per}")
     return words
 
 
@@ -168,16 +173,16 @@ def is_normal_form(word: PathWord, k: KSequence) -> bool:
     return True
 
 
-def defect_by_enumeration(k: KSequence, cap: int = DEFAULT_CAP) -> int:
+def defect_by_enumeration(k: KSequence) -> int:
     """Sum of h - |word| over all wall-terminated words of length <= h.
 
     This is the rank of the complement of the enumerated projections, the
     quantity the recurrence route computes as ``sum(cumulative[:h])``.
     Rejects the zero sequence (its defect is fixed to 0 by convention at the
-    correspondence level).  Lengths are enumerated longest first, so an
-    over-cap request raises at length h before any shorter length is built,
-    and only one length's words are held at a time.
+    correspondence level).  Lengths are enumerated longest first, so a
+    request over the word bound raises at length h before any shorter length
+    is built, and only one length's words are held at a time.
     """
     if k.h == 0:
         raise DomainError("defect enumeration needs a nonzero k-sequence")
-    return sum((k.h - f) * len(enumerate_paths(k, f, cap=cap)) for f in range(k.h, -1, -1))
+    return sum((k.h - f) * len(enumerate_paths(k, f)) for f in range(k.h, -1, -1))

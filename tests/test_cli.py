@@ -7,8 +7,11 @@ for the argv that test ran.
 """
 
 import io
+import json
 import shlex
 import sys
+import time
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -106,14 +109,28 @@ def test_oracle_cap_exits_1():
 def test_oracle_refuses_before_building_shorter_lengths(capsys, monkeypatch):
     lengths = []
 
-    def counted(k, length, cap):
+    def counted(k, length):
         lengths.append(length)
-        return enumerate_paths(k, length, cap=cap)
+        return enumerate_paths(k, length)
 
     monkeypatch.setattr(cfkit.cli, "enumerate_paths", counted)
     code, out, err = run(capsys, "oracle", "--k", "965,890,143,536,536")
-    assert code == 1 and out == "" and "cap" in err
+    assert code == 1 and out == "" and "1000000 words of length <= 5" in err
     assert lengths == [5]
+
+
+def test_oracle_refuses_a_long_sequence_before_counting_it(capsys):
+    # counted in full, the counts of 50 000 ones run to about 70 000 bits
+    argv = ["oracle", "--k", ",".join(["1"] * 50_000)]
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        code, out, err = run(capsys, *argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert time.perf_counter() - start < 0.5 and peak < 64 << 20
+    assert (code, out, err) == (1, "", "error: more than 1000000 words of length <= 50000 to enumerate\n")
 
 
 def test_group_command():
@@ -132,12 +149,20 @@ def test_group_index_pair_needs_two_integers():
     replay("group.three-integers")
 
 
-def test_group_cap():
-    replay("group.cap-default-forty", "group.cap-raised")
+def test_group_cap(capsys):
+    # d = 1: the n^2 box and the table both have n^2 entries, at most 2^20
+    code, out, err = run(capsys, "group", "--a", "1,2", "--n", "1024", "--format", "json")
+    assert code == 0 and json.loads(out)["outputs"]["order"] == "1024" and not err
+    replay("group.cap-default-forty", "group.cap-over")  # n = 40 accepted, n = 1025 refused
 
 
 @pytest.mark.parametrize("command", ["eval", "invariant", "rational", "iso", "tensor", "tower"])
 def test_cap_is_rejected_outside_oracle_and_group(command):
+    replay(f"{command}.cap-rejected")
+
+
+@pytest.mark.parametrize("command", ["oracle", "group"])
+def test_cap_is_rejected_by_oracle_and_group(command):
     replay(f"{command}.cap-rejected")
 
 
@@ -213,8 +238,7 @@ def test_readme_examples_exit_0(capsys, argv):
 # as p/q or in continued-fraction literals, and text over the literal
 # alphabet.  Each flag of a subcommand gets a value of its own type, one time
 # in four any token; one time in four a few more tokens, flags among them,
-# follow.  `--cap` is left out: raising it asks for a large enumeration
-# (`group --n 999 --cap 999` would build a table of 10^9 steps).
+# follow.
 _int = st.integers(-999, 999).map(str)
 _csv = st.lists(_int, min_size=1, max_size=5).map(",".join)
 _pair = st.lists(_int, min_size=2, max_size=2).map(",".join)
@@ -227,7 +251,7 @@ _cf = st.builds(
     st.lists(st.one_of(_int, st.tuples(_csv, _int).map("^".join).map("({})".format)), max_size=4),
 )
 _any = st.one_of(_int, _csv, _ratio, _text, st.sampled_from(["even", "odd", "json"]))
-_flags = st.sampled_from(["--n", "--m", "--t", "--k", "--a", "--e", "--f", "--depth", "--parity", "--format"])
+_flags = st.sampled_from(["--n", "--m", "--t", "--k", "--a", "--e", "--f", "--depth", "--parity", "--format", "--cap"])
 _SLOTS = {
     "eval": [(None, st.one_of(_cf, _text))],
     "invariant": [(None, _ratio)],

@@ -44,7 +44,7 @@ def _message_at_the_int_limit(call, error) -> str:
     (lambda limit: rational_to_invariant(Fraction(1, 10**(limit + 1))), "h = <"),
     (lambda limit: invariant_to_k(10**(limit + 1) + 1, 10**(limit + 1)), "h = <"),
     (lambda limit: brute_force_quotient((1, 1), 10**(limit + 1)), "n=<"),
-    (lambda limit: enumerate_paths(KSequence((1,) * 7 * limit), 7 * limit), "word count <"),
+    (lambda limit: enumerate_paths(KSequence((1,) * 20), 10**(limit + 1)), "length <= <"),
     (lambda limit: parse_cf("[1,(0,1)^" + "9" * limit + "]"), "at least <"),
 ], ids=["rational_to_invariant", "invariant_to_k", "brute_force_quotient", "enumerate_paths", "parse_cf"])
 def test_cap_messages_past_the_int_limit(call, quoted):

@@ -120,8 +120,8 @@ def test_brute_force_orders():
 
 
 def test_brute_force_cap():
-    with pytest.raises(CapExceeded):
-        brute_force_quotient((1, 2), 100, cap=50)
+    with pytest.raises(CapExceeded, match=f"n=1025 needs an addition table of 1050625 entries, over the bound {_MAX_CELLS}"):
+        brute_force_quotient((1, 2), 1025)
     with pytest.raises(DomainError):
         brute_force_quotient((0, 0), 3)
     with pytest.raises(DomainError):
@@ -136,7 +136,7 @@ def test_brute_force_bounds_the_table_whatever_the_cap():
     # (d*n)^2 table entries: refused before the box or the table is allocated
     for a, n in [((1, 1), 10**50), ((1, 1), 10**5), ((1, 2), 1025), ((0, 33), 33)]:
         with pytest.raises(CapExceeded, match=f"over the bound {_MAX_CELLS}"):
-            brute_force_quotient(a, n, cap=n)
+            brute_force_quotient(a, n)
     assert brute_force_quotient((32, 32), 32).order == 32 * 32  # exactly at the bound
 
 

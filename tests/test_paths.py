@@ -1,4 +1,5 @@
 import random
+import time
 from itertools import product
 
 import pytest
@@ -211,42 +212,64 @@ def test_defect_equals_recurrence_sum():
         assert defect_by_enumeration(k) == sum(counts.cumulative[: k.h])
 
 
-def test_cap_is_enforced():
+def test_cap_is_enforced(monkeypatch):
+    # at the real bound, building nothing: cumulative[1] of (999_999,) is 10^6, and length 2 is past h
+    assert enumerate_paths(KSequence((999_999,)), 2) == []
+    with pytest.raises(CapExceeded, match="more than 1000000 words of length <= 2 to enumerate"):
+        enumerate_paths(KSequence((1_000_000,)), 2)
+    # cumulative counts (1, 3, 11, 41, 153)
+    monkeypatch.setattr(paths, "_MAX_WORDS", 41)
+    assert len(enumerate_paths(KSequence((2, 2, 2)), 3)) == 30
     with pytest.raises(CapExceeded):
-        enumerate_paths(KSequence((2, 2, 2)), 3, cap=5)
+        defect_by_enumeration(KSequence((2, 2, 2, 2)))
+    monkeypatch.setattr(paths, "_MAX_WORDS", 40)
     with pytest.raises(CapExceeded):
-        defect_by_enumeration(KSequence((2, 2, 2, 2)), cap=10)
+        enumerate_paths(KSequence((2, 2, 2)), 3)
+
+
+def test_word_bound_is_checked_before_counting_in_full():
+    # counted in full, 50 000 ones give counts of about 70 000 bits; the check stops near 2^20
+    k = KSequence((1,) * 50_000)
+    start = time.perf_counter()
+    assert len(enumerate_paths(k, 1)) == 1
+    with pytest.raises(CapExceeded):
+        enumerate_paths(k, k.h)
+    assert time.perf_counter() - start < 0.25
 
 
 def test_over_cap_defect_stops_at_length_h(monkeypatch):
-    # cumulative counts (1, 3, 11, 41, 153): every length below h = 4 fits cap 100
+    # cumulative counts (1, 3, 11, 41, 153): every length below h = 4 fits a bound of 100
+    monkeypatch.setattr(paths, "_MAX_WORDS", 100)
     k = KSequence((2, 2, 2, 2))
     real = paths.enumerate_paths
     lengths = []
 
-    def counting(k, length, cap=paths.DEFAULT_CAP):
+    def counting(k, length):
         lengths.append(length)
-        return real(k, length, cap=cap)
+        return real(k, length)
 
     monkeypatch.setattr(paths, "enumerate_paths", counting)
     with pytest.raises(CapExceeded) as via_defect:
-        paths.defect_by_enumeration(k, cap=100)
+        paths.defect_by_enumeration(k)
     assert lengths == [k.h]
     with pytest.raises(CapExceeded) as direct:
-        real(k, k.h, cap=100)
+        real(k, k.h)
     assert str(via_defect.value) == str(direct.value)
 
 
-def test_counts_beyond_support_stay_flat():
-    # past h the predicted count is cumulative[h] and no word ends in a wall
+def test_counts_beyond_support_stay_flat(monkeypatch):
+    # past h the bounded count is cumulative[h] and no word ends in a wall
     assert path_counts(KSequence(())).cumulative == (1,)
-    assert enumerate_paths(KSequence(()), 3, cap=1) == []
+    monkeypatch.setattr(paths, "_MAX_WORDS", 1)
+    assert enumerate_paths(KSequence(()), 3) == []
     for k in small_sequences(3, 2):
         top = path_counts(k).cumulative[k.h]
         for length in (k.h + 1, k.h + 3):
-            assert enumerate_paths(k, length, cap=top) == []
-            with pytest.raises(CapExceeded, match=f"predicted word count {top} exceeds cap {top - 1}"):
-                enumerate_paths(k, length, cap=top - 1)
+            monkeypatch.setattr(paths, "_MAX_WORDS", top)
+            assert enumerate_paths(k, length) == []
+            monkeypatch.setattr(paths, "_MAX_WORDS", top - 1)
+            with pytest.raises(CapExceeded, match=f"more than {top - 1} words of length <= {length} to enumerate"):
+                enumerate_paths(k, length)
 
 
 def test_enumerate_rejects_negative_length():
