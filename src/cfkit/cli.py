@@ -22,12 +22,7 @@ import re
 import sys
 
 from .contfrac import KSequence, eval_cf, expand_simple
-from .correspondence import (
-    dimension_tower,
-    invariant_to_k,
-    invariant_to_rational,
-    rational_to_invariant,
-)
+from .correspondence import _k_rational, dimension_tower, invariant_to_k, rational_to_invariant
 from .errors import DomainError
 from .invariants import (
     ExtensionDescriptor,
@@ -111,7 +106,7 @@ def cmd_invariant(args) -> dict:
 
 def cmd_rational(args) -> dict:
     k = invariant_to_k(args.n, args.m)
-    theta = invariant_to_rational(args.n, args.m)
+    theta = _k_rational(k, args.n)
     return {"inputs": {"n": args.n, "m": args.m}, "outputs": {"theta": theta, "k": k.entries}}
 
 

@@ -106,7 +106,12 @@ def invariant_to_k(n: int, m: int) -> KSequence:
 
 def invariant_to_rational(n: int, m: int) -> Fraction:
     """The rational in [0,1) attached to an invariant pair; denominator is n."""
-    theta = k_value(invariant_to_k(n, m))
+    return _k_rational(invariant_to_k(n, m), n)
+
+
+def _k_rational(k: KSequence, n: int) -> Fraction:
+    """The value of ``invariant_to_k(n, m)``, which must have denominator n."""
+    theta = k_value(k)
     if theta.denominator != n:
         raise AssertionError(f"reverse map gave {_show_int(theta)} for n={_show_int(n)}")
     return theta

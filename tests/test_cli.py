@@ -20,6 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cfkit.cli
+import cfkit.correspondence
 from cfkit.cli import main
 from cfkit.paths import enumerate_paths
 from test_cli_corpus import replay
@@ -85,6 +86,20 @@ def test_rational_command():
     replay("rational.readme")
 
 
+def test_rational_builds_the_k_sequence_once(capsys, monkeypatch):
+    calls = []
+    real = cfkit.correspondence.invariant_to_k
+
+    def counted(n, m):
+        calls.append((n, m))
+        return real(n, m)
+
+    monkeypatch.setattr(cfkit.correspondence, "invariant_to_k", counted)
+    monkeypatch.setattr(cfkit.cli, "invariant_to_k", counted)
+    assert run(capsys, "rational", "--n", "5", "--m", "2") == (0, "theta = 2/5\nk = [0,2]\n", "")
+    assert calls == [(5, 2)]
+
+
 def test_rational_rejects_noncoprime():
     replay("rational.noncoprime")
 
@@ -131,6 +146,30 @@ def test_oracle_refuses_a_long_sequence_before_counting_it(capsys):
         tracemalloc.stop()
     assert time.perf_counter() - start < 0.5 and peak < 64 << 20
     assert (code, out, err) == (1, "", "error: more than 1000000 words of length <= 50000 to enumerate\n")
+
+
+def test_oracle_zero_chain_at_length_1000(capsys):
+    # 1000 words of 1000 edges; built level by level this took 2.5-5.4 s
+    start = time.perf_counter()
+    code, out, err = run(capsys, "oracle", "--k", ",".join(["0"] * 999 + ["1"]), "--format", "json")
+    assert time.perf_counter() - start < 0.5
+    outputs = json.loads(out)["outputs"]
+    assert (code, err, outputs["match"], outputs["enumerated_counts"][-1]) == (0, "", True, "1000")
+
+
+def test_oracle_refuses_a_long_zero_chain_before_building_it(capsys):
+    # 50 000 words of 50 000 edges would be 2.5 * 10^9 edge references
+    argv = ["oracle", "--k", ",".join(["0"] * 49_999 + ["1"])]
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        code, out, err = run(capsys, *argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert time.perf_counter() - start < 1 and peak < 64 << 20
+    assert (code, out) == (1, "")
+    assert err == "error: more than 10000000 edges in the 50000 words of length 50000 to enumerate\n"
 
 
 def test_group_command():

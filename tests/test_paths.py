@@ -167,6 +167,77 @@ def test_enumeration_equals_reference_loop():
             assert fields(words) == fields(expected), (k, f)
 
 
+def sparse_sequences(count, max_h, seed):
+    """Zero chains with a few walls scattered before the last level: long wall-free runs."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        h = rng.randint(1, max_h)
+        entries = [0] * h
+        for t in rng.sample(range(h - 1), min(h - 1, rng.randint(0, 3))):
+            entries[t] = rng.randint(1, 2)
+        entries[-1] = rng.randint(1, 3)
+        yield KSequence(tuple(entries))
+
+
+def test_enumeration_equals_reference_on_long_sparse_chains():
+    # every length 0..h+1 of h up to 60, so both odd and even splits, length 1 and
+    # lengths past h are all joined
+    chains = [KSequence((0,) * (h - 1) + (w,)) for h in (1, 2, 3, 7, 8, 33, 60) for w in (1, 2)]
+    sparse = [k for k in sparse_sequences(count=60, max_h=60, seed=5)
+              if path_counts(k).cumulative[-1] <= 2_000][:25]
+    assert len(sparse) == 25 and max(k.h for k in sparse) >= 50
+    for k in [*chains, *sparse]:
+        for f in range(k.h + 2):
+            words, expected = enumerate_paths(k, f), reference_enumeration(k, f)
+            assert words == expected, (k, f)
+            assert fields(words) == fields(expected), (k, f)
+
+
+def test_no_block_holds_more_sequences_than_words(monkeypatch):
+    real = paths._joined
+    sizes = []
+
+    def recorded(levels, bits, lo, hi):
+        block = real(levels, bits, lo, hi)
+        sizes.append(len(block))
+        return block
+
+    monkeypatch.setattr(paths, "_joined", recorded)
+    for k in [KSequence((2, 0, 1, 2)), KSequence((0,) * 9 + (3,)), KSequence((0, 0, 0, 0, 0, 500)),
+              KSequence((3, 0, 2, 0, 0, 1))]:
+        sizes.clear()
+        words = enumerate_paths(k, k.h)
+        assert len(sizes) == 2 * k.h - 1 and max(sizes) == len(words)
+
+
+def test_zero_chain_is_quadratic():
+    # level by level, every prefix was copied at every level: 2.5-5.3 s at L = 1000
+    k = KSequence((0,) * 999 + (1,))
+    start = time.perf_counter()
+    words = enumerate_paths(k, 1000)
+    assert time.perf_counter() - start < 1
+    assert len(words) == 1000 and words[0][0] == Edge("alpha", 1) and words[-1][0] == Edge("beta", 1)
+    assert all(is_normal_form(w, k) for w in words[::97])
+    assert len(enumerate_paths(KSequence((0,) * 1499 + (1,)), 1500)) == 1500
+
+
+def test_edge_bound_is_checked_before_building(monkeypatch):
+    # 3163 words of 3163 edges pass the bound of 10^7 edges
+    k = KSequence((0,) * 3162 + (1,))
+    start = time.perf_counter()
+    with pytest.raises(CapExceeded, match="^more than 10000000 edges in the 3163 words of length 3163 to enumerate$"):
+        enumerate_paths(k, k.h)
+    assert time.perf_counter() - start < 0.1
+    # the word bound is checked first; the edge bound counts only the words of the requested length
+    monkeypatch.setattr(paths, "_MAX_EDGES", 29)
+    assert len(enumerate_paths(KSequence((1, 1, 1, 0, 2)), 3)) == 8  # 8 words of 3 edges
+    with pytest.raises(CapExceeded, match="more than 29 edges in the 30 words of length 3"):
+        enumerate_paths(KSequence((2, 2, 2)), 3)
+    monkeypatch.setattr(paths, "_MAX_WORDS", 40)
+    with pytest.raises(CapExceeded, match="more than 40 words"):
+        enumerate_paths(KSequence((2, 2, 2)), 3)
+
+
 def test_internal_edges_behave_like_checked_edges():
     for kind, level, wall in [("alpha", 1, None), ("beta", 2, None), ("gamma", 3, 2)]:
         built, checked = _edge(kind, level, wall), Edge(kind, level, wall)
