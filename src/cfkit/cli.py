@@ -113,9 +113,11 @@ def cmd_rational(args) -> dict:
 def cmd_oracle(args) -> dict:
     k = KSequence(tuple(_ints_csv(args.k, what="k-sequence")))
     # Longest first, and counted in full only after, so an over-bound request fails at once.
+    # A length f >= 1 with k_f = 0 has no wall to end on, so its count stays 0 unbuilt.
     enumerated = [0] * (k.h + 1)
     for f in range(k.h, -1, -1):
-        enumerated[f] = len(enumerate_paths(k, f))
+        if f == 0 or k.at(f):
+            enumerated[f] = len(enumerate_paths(k, f))
     counts = path_counts(k)
     defect = sum((k.h - f) * c for f, c in enumerate(enumerated))
     m = sum(counts.cumulative[:k.h])

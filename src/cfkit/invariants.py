@@ -13,15 +13,17 @@ A = [[0,-1],[1,0]]:
 
     k  |->  (k^T A b mod d,  k^T A^T a' mod n).
 
-``brute_force_quotient`` enumerates the cosets directly and is the
+``brute_force_quotient`` enumerates the cosets directly, walking the rows of
+the box [0,n)^2 under x -> x + a_+ rather than its n^2 points, and is the
 independent oracle for the closed form, for addition tables of up to 2^20
-entries.
+entries; ``projection_matches_brute_force`` checks the table a row at a time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
+from operator import itemgetter
 
 from .errors import CapExceeded, DomainError, _show_int
 
@@ -234,6 +236,13 @@ def _tile(grid: list[int], rows: int, cols: int) -> list[int]:
     return tiled * 2
 
 
+def _sum_rows(grid: list[int], keys: list[int]):
+    """Row i is ``grid[keys[i] + keys[j]]`` over j: one gather per row, as tuples."""
+    span = max(keys) + 1
+    get = itemgetter(*keys) if len(keys) > 1 else lambda s: (s[keys[0]],)  # one key gathers a scalar
+    return (get(grid[k:k + span]) for k in keys)
+
+
 def projection_matches_brute_force(q: QuotientGroup, bf: BruteForceQuotient) -> bool:
     """Check the closed-form projection against the enumerated quotient.
 
@@ -253,10 +262,9 @@ def projection_matches_brute_force(q: QuotientGroup, bf: BruteForceQuotient) -> 
             return False
         by_code[u * n + v] = i
         keys.append(u * 2 * n + v)
-    # Tiled 2d x 2n, the code of (u1 + u2, v1 + v2) is one lookup at keys[i] + keys[j].
-    tiled = _tile(by_code, d, n)
-    for i, k1 in enumerate(keys):
-        if list(bf.table[i]) != [tiled[k1 + k2] for k2 in keys]:
+    # Tiled 2d x 2n, the code of (u1 + u2, v1 + v2) is at keys[i] + keys[j].
+    for i, row in enumerate(_sum_rows(_tile(by_code, d, n), keys)):
+        if tuple(bf.table[i]) != row:
             return False
     return True
 
@@ -265,11 +273,17 @@ def brute_force_quotient(a: IndexPair, n: int) -> BruteForceQuotient:
     """Enumerate Z^2/(Za + nZ^2): canonical reps and the full addition table.
 
     Multiples of a and of (n,0), (0,n) tile the box [0,n)^2 into cosets.  The
-    box is scanned in lexicographic order, and the first point not yet in a
-    coset is the least point of its coset, so ``reps`` comes out sorted.  The
-    scan visits each of the n^2 points once; the table has (d*n)^2 entries,
-    up to n^4 when d = gcd(a_+, a_-, n) = n.  A table of more than 2^20
-    entries raises :class:`CapExceeded` before anything is allocated.
+    rows are scanned in order, and a row that no earlier walk reached starts
+    a walk x -> x + a_+ (mod n) through its orbit of rows.  Every walk has the
+    same length and ends shifted by the same s along its starting row, so a
+    coset meets each row of its orbit every p = gcd(s, n) columns.  The
+    starting row's points at columns 0..p-1 are the least points of p new
+    cosets, so ``reps`` comes out sorted, and every other row of the walk
+    carries the same labels rotated by the walk's running a_- shift.  The
+    scan takes O(n) steps; the table has (d*n)^2 entries, up to n^4 when
+    d = gcd(a_+, a_-, n) = n, and each of its rows is one gather.  A table of
+    more than 2^20 entries raises :class:`CapExceeded` before anything is
+    allocated.
     """
     a = _index_pair(a, n)
     if a == (0, 0):
@@ -281,20 +295,29 @@ def brute_force_quotient(a: IndexPair, n: int) -> BruteForceQuotient:
         raise CapExceeded(f"n={_show_int(n)} needs an addition table of {_show_int(cells)} entries,"
                           f" over the bound {_MAX_CELLS}")
     ap, am = a[0] % n, a[1] % n
-    coset = [-1] * (n * n)  # coset[x*n + y]: index of the coset of (x, y)
-    reps = []
+    walk = [-1] * n  # walk[x]: index of the walk that reached row x
+    shift = [0] * n  # shift[x]: that walk's running a_- shift at row x
+    fresh = []  # the row each walk started from
     for x in range(n):
-        for y in range(n):
-            if coset[x * n + y] >= 0:
-                continue
-            i = len(reps)
-            reps.append((x, y))
-            px, py = x, y
-            while coset[px * n + py] < 0:  # walk (x, y) + t*a until it closes up
-                coset[px * n + py] = i
-                px, py = (px + ap) % n, (py + am) % n
-    # Tiled 2n x 2n, the coset of r1 + r2 is one lookup at flat[r1] + flat[r2].
-    tiled = _tile(coset, n, n)
-    flat = [x * 2 * n + y for x, y in reps]
-    table = tuple(tuple([tiled[f1 + f2] for f2 in flat]) for f1 in flat)
-    return BruteForceQuotient(a=a, n=n, reps=tuple(reps), table=table)
+        if walk[x] >= 0:
+            continue
+        px, s = x, 0
+        while walk[px] < 0:  # walk x -> x + a_+ until it closes up
+            walk[px], shift[px] = len(fresh), s
+            px, s = (px + ap) % n, s + am
+        fresh.append(x)
+    p = gcd(s, n)  # every walk has the same length and ends shifted by the same s
+    # Tuples are made from lists: one grown from a generator is resized as it
+    # fills, which fragments the heap over many calls.
+    reps = tuple([(x, y) for x in fresh for y in range(p)])
+    # grid[x*2p + y] is the coset of (x mod n, y) for y < 2p, labels repeating
+    # every p columns; rows up to twice the last fresh row hold every sum of reps.
+    grid: list[int] = []
+    for x in range(2 * fresh[-1] + 1):
+        i, r = walk[x % n], -shift[x % n] % p
+        labels = range(i * p, i * p + p)
+        grid += labels[r:]
+        grid += labels
+        grid += labels[:r]
+    table = tuple(list(_sum_rows(grid, [x * 2 * p + y for x, y in reps])))
+    return BruteForceQuotient(a=a, n=n, reps=reps, table=table)

@@ -157,6 +157,23 @@ def test_oracle_zero_chain_at_length_1000(capsys):
     assert (code, err, outputs["match"], outputs["enumerated_counts"][-1]) == (0, "", True, "1000")
 
 
+def test_oracle_builds_only_lengths_that_end_on_a_wall(capsys, monkeypatch):
+    # lengths f >= 1 with k_f = 0 hold no words; only length 0 and the support are built
+    lengths = []
+
+    def counted(k, length):
+        lengths.append(length)
+        return enumerate_paths(k, length)
+
+    monkeypatch.setattr(cfkit.cli, "enumerate_paths", counted)
+    entries = ["0"] * 40 + ["2"] + ["0"] * 18 + ["1"]
+    code, out, err = run(capsys, "oracle", "--k", ",".join(entries), "--format", "json")
+    outputs = json.loads(out)["outputs"]
+    assert (code, err, outputs["match"]) == (0, "", True)
+    assert lengths == [60, 41, 0]  # support size + 1, longest first
+    assert [f for f, c in enumerate(outputs["enumerated_counts"]) if c != "0"] == [0, 41, 60]
+
+
 def test_oracle_refuses_a_long_zero_chain_before_building_it(capsys):
     # 50 000 words of 50 000 edges would be 2.5 * 10^9 edge references
     argv = ["oracle", "--k", ",".join(["0"] * 49_999 + ["1"])]

@@ -1,5 +1,8 @@
+import random
+import time
+import tracemalloc
 from dataclasses import replace
-from itertools import product
+from itertools import islice, product
 from math import gcd
 
 import pytest
@@ -191,6 +194,38 @@ def test_brute_force_matches_reference_construction():
         assert (bf.reps, bf.table) == reference_quotient(a, n), (a, n)
 
 
+def row_walk_cases():
+    """Cases the row walk treats apart, beyond the small grid."""
+    rng = random.Random(20241)
+    yield ((5, 3), 1)
+    yield ((-7, 0), 1)
+    for n in (12, 16, 18, 30):
+        yield ((0, n), n)  # a_+ = a_- = 0 mod n: every row its own walk, p = n
+        yield ((n, -n), n)
+        yield ((0, 1), n)  # a_+ = 0: every walk one row long
+        yield ((0, -2 * n - 3), n)
+        for g in (2, 3, 4, 6):
+            if n % g == 0:  # gcd(a_+ mod n, n) = g: g walks of n/g rows each
+                yield ((g, 1), n)
+                yield ((g - 5 * n, 7 * n - 2), n)
+                yield ((-g, 2), n)
+    while True:
+        n = rng.randint(25, 48)
+        a = (rng.randint(-10**6, 10**6), rng.randint(-10**6, 10**6))
+        if gcd(*a, n) <= 4:
+            yield (a, n)
+
+
+def test_row_walk_matches_reference_construction():
+    cases = list(islice(row_walk_cases(), 90))
+    assert any(gcd(a[0] % n, n) > 1 and build_quotient(a, n).d == 1 for a, n in cases)
+    assert any(n > 40 for a, n in cases) and any(n == 1 for a, n in cases)
+    for a, n in cases:
+        bf = brute_force_quotient(a, n)
+        assert (bf.reps, bf.table) == reference_quotient(a, n), (a, n)
+        assert projection_matches_brute_force(build_quotient(a, n), bf), (a, n)
+
+
 def test_projection_matches_brute_force_small_grid():
     for a, n in grid:
         q = build_quotient(a, n)
@@ -222,6 +257,45 @@ def test_projection_rejects_swapped_table_entries():
         table[i][0], table[i][1] = table[i][1], table[i][0]  # distinct: rows are permutations
         corrupted = replace(bf, table=tuple(map(tuple, table)))
         assert not projection_matches_brute_force(build_quotient(a, n), corrupted), (a, n)
+
+
+def test_projection_at_order_one():
+    # a single representative: the gather is of one key
+    for a in ((1, 0), (5, -3), (0, 7)):
+        bf = brute_force_quotient(a, 1)
+        assert (bf.reps, bf.table) == (((0, 0),), ((0,),))
+        assert projection_matches_brute_force(build_quotient(a, 1), bf)
+    q, bf = build_quotient((1, 0), 1), brute_force_quotient((1, 0), 1)
+    assert not projection_matches_brute_force(q, replace(bf, table=((1,),)))
+    assert not projection_matches_brute_force(q, replace(bf, table=((0, 0),)))
+
+
+def test_projection_rejects_one_corrupted_entry():
+    for a, n in [((-1, 1), 5), ((2, 4), 6), ((0, 3), 9), ((3, 6), 9), ((4, 1), 8)]:
+        q = build_quotient(a, n)
+        bf = brute_force_quotient(a, n)
+        last = bf.order - 1
+        for i, j in [(0, 0), (0, last), (last, 0), (last // 2, last), (last, last)]:
+            table = [list(row) for row in bf.table]
+            table[i][j] = (table[i][j] + 1) % bf.order
+            corrupted = replace(bf, table=tuple(map(tuple, table)))
+            assert not projection_matches_brute_force(q, corrupted), (a, n, i, j)
+
+
+def test_quotient_at_the_bound_is_fast_and_small():
+    # order 1024 in one walk of 1024 rows: about 0.5 s and a 56 MiB peak built entry by entry
+    start = time.perf_counter()
+    q = build_quotient((1, 2), 1024)
+    assert projection_matches_brute_force(q, brute_force_quotient(q.a, q.n))
+    assert time.perf_counter() - start < 0.25
+    tracemalloc.start()
+    try:
+        bf = brute_force_quotient(q.a, q.n)
+        matched = projection_matches_brute_force(q, bf)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert matched and bf.order == 1024 and peak < 40 << 20
 
 
 def test_projection_rejects_repeated_images_with_any_table():
