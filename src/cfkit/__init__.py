@@ -54,7 +54,6 @@ from .paths import (
     PathCounts,
     defect_by_enumeration,
     enumerate_paths,
-    is_normal_form,
     path_counts,
 )
 
@@ -94,7 +93,6 @@ __all__ = [
     "invariant_to_k",
     "invariant_to_rational",
     "is_isomorphic",
-    "is_normal_form",
     "k_to_invariant",
     "k_to_simple",
     "k_value",

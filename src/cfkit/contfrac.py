@@ -82,8 +82,8 @@ class KSequence:
 
     def at(self, i: int) -> int:
         """1-based entry access; 0 beyond the support."""
-        if i < 1:
-            raise DomainError(f"k-sequence index must be >= 1, got {_show_int(i)}")
+        if type(i) is not int or i < 1:
+            raise DomainError(f"k-sequence index must be an integer >= 1, got {_show_int(i)}")
         return self.entries[i - 1] if i <= len(self.entries) else 0
 
     @property

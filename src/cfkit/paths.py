@@ -33,20 +33,24 @@ words of one length may hold at most ``_MAX_EDGES`` edges in all, checked
 from that pass's last count, so a long chain whose word count is small is
 still refused before anything is built.
 
-The enumeration splits the levels in two, recursively, and joins the sorted
-edge sequences of the two parts in one list comprehension.  Each word is
-thus one tuple concatenation of its two parts, and each part is a block of
-no more sequences than there are words.  The split falls where the bit
-lengths of the level sizes balance, so a wide level becomes its own block
-instead of being copied into a larger one.  On a long wall-free chain a
-block of s levels holds s + 1 sequences, so the cost is quadratic in the
-length: ``(0,)*999 + (1,)`` takes about 50 ms (2-vCPU Xeon, CPython 3.11).
+A word is a tuple of :class:`Edge` values, each an immutable tuple
+``(kind, level, wall)`` with one checked constructor.  The enumeration builds
+each level's edges once per call through that constructor, splits the levels
+in two, recursively, and joins the sorted edge sequences of the two parts in
+one list comprehension.  Each word is thus one tuple concatenation of its two
+parts, and each part is a block of no more sequences than there are words.
+The split falls where the bit lengths of the level sizes balance, so a wide
+level becomes its own block instead of being copied into a larger one.  On a
+long wall-free chain a block of s levels holds s + 1 sequences, so the cost
+is quadratic in the length: ``(0,)*999 + (1,)`` takes about 50 ms (2-vCPU
+Xeon, CPython 3.11).
 """
 
 from __future__ import annotations
 
 from bisect import bisect, bisect_left
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .contfrac import KSequence
 from .errors import CapExceeded, DomainError, _show_int
@@ -57,38 +61,45 @@ _MAX_EDGES = 10_000_000
 _KINDS = ("alpha", "beta", "gamma")
 
 
-@dataclass(frozen=True)
-class Edge:
-    """One edge of a path word: alpha/beta, or gamma with a wall index."""
-
+class _EdgeFields(NamedTuple):
     kind: str
     level: int
     wall: int | None = None
 
-    def __post_init__(self):
-        if self.kind not in _KINDS:
-            raise DomainError(f"unknown edge kind {self.kind!r}")
-        if self.level < 1:
+
+class Edge(_EdgeFields):
+    """One edge of a path word: alpha/beta, or gamma with a wall index.
+
+    An immutable tuple ``(kind, level, wall)``.  ``__new__`` checks every
+    field, and ``_make`` and ``_replace`` go through it.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, kind: str, level: int, wall: int | None = None) -> Edge:
+        if kind not in _KINDS:
+            raise DomainError(f"unknown edge kind {_show_int(kind)}")
+        if type(level) is not int:  # rejects bool, an int subclass
+            raise DomainError(f"edge level must be an integer, got {_show_int(level)}")
+        if level < 1:
             raise DomainError("edge level must be >= 1")
-        if (self.kind == "gamma") != (self.wall is not None):
+        if (kind == "gamma") != (wall is not None):
             raise DomainError("wall index is required exactly for gamma edges")
-        if self.wall is not None and self.wall < 1:
-            raise DomainError("wall index must be >= 1")
+        if wall is not None:
+            if type(wall) is not int:
+                raise DomainError(f"wall index must be an integer, got {_show_int(wall)}")
+            if wall < 1:
+                raise DomainError("wall index must be >= 1")
+        return tuple.__new__(cls, (kind, level, wall))
+
+    @classmethod
+    def _make(cls, iterable) -> Edge:
+        return cls(*iterable)
 
     def __str__(self) -> str:
         if self.kind == "gamma":
             return f"g{self.level}({self.wall})"
         return f"{self.kind[0]}{self.level}"
-
-
-_new = object.__new__
-
-
-def _edge(kind: str, level: int, wall: int | None = None) -> Edge:
-    """An :class:`Edge` built without its checks; the fields must already be valid."""
-    edge = _new(Edge)
-    vars(edge).update(kind=kind, level=level, wall=wall)  # bypasses the frozen __setattr__
-    return edge
 
 
 PathWord = tuple[Edge, ...]
@@ -125,8 +136,8 @@ def enumerate_paths(k: KSequence, length: int) -> list[PathWord]:
     those right parts are a suffix of the sorted list.  Since both parts are
     sorted, the output is sorted lexicographically on the edge list, edges
     compared by kind (alpha < beta < gamma) and then by wall index.  Each
-    word is one tuple concatenation of its two parts, and each distinct edge
-    is built once per call, without re-running the checks of :class:`Edge`.
+    word is one tuple concatenation of its two parts, and each level's edges
+    are built once per call, through the checked constructor of :class:`Edge`.
     Length 0 yields the empty word; the result is empty when k_length = 0.
 
     Raises :class:`CapExceeded` when more than ``_MAX_WORDS`` words have
@@ -156,8 +167,8 @@ def enumerate_paths(k: KSequence, length: int) -> list[PathWord]:
     levels = [None]
     bits = [0]
     for t in range(1, length + 1):
-        walls = [(_edge("gamma", t, w),) for w in range(1, k.at(t) + 1)]
-        levels.append(walls if t == length else [(_edge("alpha", t),), (_edge("beta", t),), *walls])
+        walls = [(Edge("gamma", t, w),) for w in range(1, k.at(t) + 1)]
+        levels.append(walls if t == length else [(Edge("alpha", t),), (Edge("beta", t),), *walls])
         bits.append(bits[-1] + len(levels[t]).bit_length())
     words = _joined(levels, bits, 1, length)
     if len(words) != per:
@@ -179,23 +190,6 @@ def _joined(levels: list, bits: list[int], lo: int, hi: int) -> list[PathWord]:
     # The right parts that start with alpha come first, so the rest is a suffix.
     after_beta = right[bisect(right, False, key=lambda v: v[0].kind != "alpha"):]
     return [w + v for w in left for v in (after_beta if w[-1] is beta else right)]
-
-
-def is_normal_form(word: PathWord, k: KSequence) -> bool:
-    """Validity predicate: chain levels, wall bounds, alphas before betas per run."""
-    seen_beta = False
-    for pos, edge in enumerate(word, start=1):
-        if edge.level != pos:
-            return False
-        if edge.kind == "gamma":
-            if not 1 <= (edge.wall or 0) <= k.at(pos):
-                return False
-            seen_beta = False
-        elif edge.kind == "beta":
-            seen_beta = True
-        elif seen_beta:  # alpha after beta inside a wall-free run
-            return False
-    return True
 
 
 def defect_by_enumeration(k: KSequence) -> int:

@@ -162,6 +162,9 @@ def test_ksequence_normalization():
         KSequence((True,))
     with pytest.raises(DomainError):
         KSequence((1,)).at(0)
+    for index in (True, 1.5, 2.0, "1"):
+        with pytest.raises(DomainError, match="^k-sequence index must be an integer >= 1, got "):
+            KSequence((1, 2)).at(index)
 
 
 def test_k_to_simple_examples():

@@ -8,7 +8,7 @@ from cfkit.correspondence import dimension_tower, invariant_to_k, rational_candi
 from cfkit.errors import CapExceeded, DomainError, _show_int
 from cfkit.invariants import ExtensionDescriptor, brute_force_quotient, build_quotient, tensor_factor
 from cfkit.literals import parse_cf
-from cfkit.paths import enumerate_paths
+from cfkit.paths import Edge, enumerate_paths
 
 
 def test_show_int_prints_up_to_100_digits():
@@ -81,13 +81,14 @@ _INDEX_ONE = ExtensionDescriptor(n=6, index=(-1, 1), defects=(2, 0))
     lambda big: tensor_factor(ExtensionDescriptor(n=5, index=(big, 1), defects=(0, 0)), 1),
     lambda big: tensor_factor(_INDEX_ONE, -big),
     lambda big: tensor_factor(_INDEX_ONE, big),
+    lambda big: Edge(big, 1),
 ], ids=[
     "invariant_to_k-n-one", "invariant_to_k-m", "invariant_to_k-n", "invariant_to_k-gcd",
     "rational_to_invariant", "rational_candidates", "expand_simple", "dimension_tower",
     "KSequence.at", "KSequence", "ContinuedFraction", "k_value_bounds", "simple_to_k",
     "build_quotient", "build_quotient-types", "brute_force_quotient",
     "ExtensionDescriptor-n", "ExtensionDescriptor-defects", "ExtensionDescriptor-types",
-    "tensor_factor-index", "tensor_factor-t", "tensor_factor-divides",
+    "tensor_factor-index", "tensor_factor-t", "tensor_factor-divides", "Edge-kind",
 ])
 def test_domain_messages_past_the_int_limit(call):
     # each message quotes an integer of more digits than str() may convert

@@ -1,3 +1,4 @@
+import pickle
 import random
 import time
 from itertools import product
@@ -9,10 +10,9 @@ from cfkit.contfrac import KSequence
 from cfkit.errors import CapExceeded, DomainError
 from cfkit.paths import (
     Edge,
-    _edge,
+    PathWord,
     defect_by_enumeration,
     enumerate_paths,
-    is_normal_form,
     path_counts,
 )
 
@@ -23,6 +23,23 @@ def small_sequences(max_h, max_entry):
         for entries in product(range(max_entry + 1), repeat=h):
             if entries[-1] > 0:
                 yield KSequence(entries)
+
+
+def is_normal_form(word: PathWord, k: KSequence) -> bool:
+    """Validity predicate: chain levels, wall bounds, alphas before betas per run."""
+    seen_beta = False
+    for pos, edge in enumerate(word, start=1):
+        if edge.level != pos:
+            return False
+        if edge.kind == "gamma":
+            if not 1 <= (edge.wall or 0) <= k.at(pos):
+                return False
+            seen_beta = False
+        elif edge.kind == "beta":
+            seen_beta = True
+        elif seen_beta:  # alpha after beta inside a wall-free run
+            return False
+    return True
 
 
 def test_edge_validation():
@@ -36,6 +53,15 @@ def test_edge_validation():
         Edge("gamma", 1)
     with pytest.raises(DomainError):
         Edge("gamma", 1, wall=0)
+    # a level or wall whose type is not exactly int, bool included
+    for args in [("alpha", 1.5), ("alpha", True), ("alpha", "1"), ("gamma", 1, True), ("gamma", 1, 2.5),
+                 ("gamma", 1, "2")]:
+        with pytest.raises(DomainError, match="must be an integer, got "):
+            Edge(*args)
+    with pytest.raises(DomainError, match="^edge level must be an integer, got '1'$"):
+        Edge("alpha", "1")
+    with pytest.raises(DomainError, match="^edge level must be >= 1$"):
+        Edge("alpha", -(10**5000))
 
 
 def test_enumerate_single_level_walls():
@@ -238,16 +264,33 @@ def test_edge_bound_is_checked_before_building(monkeypatch):
         enumerate_paths(KSequence((2, 2, 2)), 3)
 
 
-def test_internal_edges_behave_like_checked_edges():
-    for kind, level, wall in [("alpha", 1, None), ("beta", 2, None), ("gamma", 3, 2)]:
-        built, checked = _edge(kind, level, wall), Edge(kind, level, wall)
-        assert built == checked and hash(built) == hash(checked)
-        assert (str(built), repr(built)) == (str(checked), repr(checked))
-        assert built != Edge("gamma", 9, 9)
+def test_enumerated_edges_behave_like_checked_edges():
     for w in enumerate_paths(KSequence((2, 0, 1, 2)), 4):
         for e in w:
             checked = Edge(e.kind, e.level, e.wall)
+            assert type(e) is Edge
             assert (e, hash(e), str(e), repr(e)) == (checked, hash(checked), str(checked), repr(checked))
+
+
+def test_edge_is_an_immutable_checked_tuple():
+    edge = Edge("gamma", 3, 2)
+    for field in ("kind", "level", "wall"):
+        with pytest.raises(AttributeError):
+            setattr(edge, field, 1)
+        with pytest.raises(AttributeError):
+            delattr(edge, field)
+    with pytest.raises(AttributeError):
+        edge.extra = 1
+    assert hash(edge) == hash(Edge("gamma", 3, 2)) and edge != Edge("gamma", 3, 1)
+    assert edge == ("gamma", 3, 2) and repr(edge) == "Edge(kind='gamma', level=3, wall=2)"
+    copied = pickle.loads(pickle.dumps(edge))
+    assert copied == edge and type(copied) is Edge
+    # the namedtuple copy routes run the checks too
+    assert edge._replace(wall=1) == Edge("gamma", 3, 1)
+    with pytest.raises(DomainError):
+        edge._replace(level=0)
+    with pytest.raises(DomainError):
+        Edge._make(("delta", 1, None))
 
 
 def test_normal_form_rejects_beta_before_alpha():
