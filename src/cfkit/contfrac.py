@@ -128,7 +128,7 @@ def expand_simple(r, parity: Parity) -> ContinuedFraction:
     even); it has no odd expansion.
     """
     _check_parity(parity)
-    r = Fraction(r)
+    r = _fraction(r, "expand_simple")
     if not 0 <= r < 1:
         raise DomainError(f"expand_simple requires 0 <= r < 1, got {_show_int(r)}")
     if r == 0 and parity == "odd":
@@ -248,6 +248,14 @@ def k_value_bounds(k_prefix: Sequence[int], depth: int) -> tuple[Fraction, Fract
     gap_min = depth - truncated.h + 1  # least gap to the next support point
     *_, lo, hi = convergents(ContinuedFraction(0, (*simple_terms, gap_min)))
     return Fraction(*lo), Fraction(*hi)
+
+
+def _fraction(r, where: str) -> Fraction:
+    """``Fraction(r)``, raising :class:`DomainError` for what it cannot convert, such as inf and nan."""
+    try:
+        return Fraction(r)
+    except (TypeError, ValueError, OverflowError):
+        raise DomainError(f"{where} requires a rational number, got {_show_int(r)}") from None
 
 
 def _check_parity(parity) -> None:

@@ -28,6 +28,7 @@ from math import gcd
 from .contfrac import (
     ContinuedFraction,
     KSequence,
+    _fraction,
     _k_entries,
     _simple_terms,
     convergents,
@@ -72,7 +73,7 @@ def k_to_invariant(k: KSequence) -> tuple[int, int]:
 
 def rational_to_invariant(r) -> RationalInvariant:
     """Full forward pipeline for a rational in [0,1)."""
-    theta = Fraction(r)
+    theta = _fraction(r, "rational_to_invariant")
     if not 0 <= theta < 1:
         raise DomainError(f"rational_to_invariant requires 0 <= r < 1, got {_show_int(theta)}")
     k = KSequence(_k_entries(_simple_terms(theta.numerator, theta.denominator, "even")))
@@ -143,7 +144,7 @@ def rational_candidates(r) -> tuple[tuple[int, int], tuple[int, int]]:
     (even-parity pair, odd-parity pair).  By the continuant identity these are
     ``(q, x)`` and ``(q, q - x)`` for ``r = p/q`` and ``x = -p^-1 mod q``.
     """
-    theta = Fraction(r)
+    theta = _fraction(r, "rational_candidates")
     if not 0 < theta < 1:
         raise DomainError(f"rational_candidates requires 0 < r < 1, got {_show_int(theta)}")
     q = theta.denominator

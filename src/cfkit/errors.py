@@ -17,14 +17,16 @@ _SHOWN_BOUND = 10**100  # integers below it in magnitude print in decimal
 def _show_int(value) -> str:
     """``value`` as ``repr`` shows it, but an integer of over 100 digits by bit length.
 
-    Integers inside a ``Fraction`` (shown as ``p/q``) or a tuple are shown
-    the same way.  A message must not convert a long integer to decimal: the
+    Integers inside a ``Fraction`` (shown as ``p/q``), a tuple or a list are
+    shown the same way.  A message must not convert a long integer to decimal: the
     conversion is quadratic in the digit count and, past the interpreter's
     int/str digit limit, raises a bare ``ValueError`` in place of the
     intended error.
     """
     if isinstance(value, tuple):
         return "(" + ", ".join(map(_show_int, value)) + ("," if len(value) == 1 else "") + ")"
+    if isinstance(value, list):
+        return "[" + ", ".join(map(_show_int, value)) + "]"
     if isinstance(value, Fraction):
         shown = _show_int(value.numerator)
         return shown if value.denominator == 1 else f"{shown}/{_show_int(value.denominator)}"

@@ -136,8 +136,6 @@ def add(x: ExtendedRational, y: ExtendedRational) -> ExtendedRational:
         # a/b + c/d with b == 1 is (a*d + c)/d, already reduced: gcd(a*d + c, d) = gcd(c, d) = 1.
         if b == 1:
             return _make(a * d + c, d)
-        if d == 1:
-            return _make(c * b + a, b)
         num, den = a * d + c * b, b * d
         g = _gcd(num, den)
         return _make(num // g, den // g)

@@ -61,10 +61,10 @@ class ExtensionDescriptor:
     defects: DefectPair
 
     def __post_init__(self):
-        index, defects = tuple(self.index), tuple(self.defects)
-        if not (len(index) == len(defects) == 2 and all(type(x) is int for x in (self.n, *index, *defects))):
-            raise DomainError(f"n and the index and defect pairs must be integers,"
-                              f" got n={_show_int(self.n)}, index={_show_int(index)}, defects={_show_int(defects)}")
+        index, defects = _int_pair(self.index), _int_pair(self.defects)
+        if index is None or defects is None or type(self.n) is not int:
+            raise DomainError(f"n and the index and defect pairs must be integers, got n={_show_int(self.n)},"
+                              f" index={_show_int(self.index)}, defects={_show_int(self.defects)}")
         if self.n < 1:
             raise DomainError(f"matrix size n must be >= 1, got {_show_int(self.n)}")
         if defects[0] < 0 or defects[1] < 0:
@@ -99,21 +99,30 @@ def _bezout_companion(a_prime: IndexPair) -> IndexPair:
     return (b_plus, b_minus)
 
 
+def _int_pair(value) -> tuple[int, int] | None:
+    """``value`` as a tuple of two exact ints, or None when it is anything else."""
+    try:
+        x, y = value
+    except (TypeError, ValueError):
+        return None
+    return (x, y) if type(x) is int and type(y) is int else None
+
+
 def _index_pair(a, n) -> IndexPair:
-    """``a`` as a tuple, after checking that it and ``n`` hold only integers."""
-    a = tuple(a)
-    if not (len(a) == 2 and all(type(x) is int for x in (*a, n))):
+    """``a`` as a tuple, after checking that it is a pair of integers other than (0, 0), and n >= 1."""
+    pair = _int_pair(a)
+    if pair is None or type(n) is not int:
         raise DomainError(f"index pair and n must be integers, got a={_show_int(a)}, n={_show_int(n)}")
-    return a
+    if n < 1:
+        raise DomainError(f"n must be >= 1, got {_show_int(n)}")
+    if pair == (0, 0):
+        raise DomainError("degenerate index (0, 0)")
+    return pair
 
 
 def build_quotient(a: IndexPair, n: int) -> QuotientGroup:
     """Construct the presentation of Z^2/(Za + nZ^2) for a != (0,0), n >= 1."""
     a = _index_pair(a, n)
-    if n < 1:
-        raise DomainError(f"n must be >= 1, got {_show_int(n)}")
-    if a == (0, 0):
-        raise DomainError("degenerate index (0, 0)")
     c = gcd(a[0], a[1])
     a_prime = (a[0] // c, a[1] // c)
     b = _bezout_companion(a_prime)
@@ -123,8 +132,15 @@ def build_quotient(a: IndexPair, n: int) -> QuotientGroup:
 
 def project(k: tuple[int, int], q: QuotientGroup) -> tuple[int, int]:
     """Image of k in Z/d x Z/n: (k^T A b mod d, k^T A^T a' mod n)."""
-    first = (-k[0] * q.b[1] + k[1] * q.b[0]) % q.d
-    second = (k[0] * q.a_prime[1] - k[1] * q.a_prime[0]) % q.n
+    # _int_pair inlined: the oracles project every coset representative.
+    try:
+        x, y = k
+    except (TypeError, ValueError):
+        x = y = None
+    if type(x) is not int or type(y) is not int:
+        raise DomainError(f"k must be a pair of integers, got {_show_int(k)}")
+    first = (-x * q.b[1] + y * q.b[0]) % q.d
+    second = (x * q.a_prime[1] - y * q.a_prime[0]) % q.n
     return (first, second)
 
 
@@ -132,12 +148,18 @@ def defect_class_mod_n(defects: DefectPair, n: int) -> int:
     """(k_+ + k_-) mod n, the defect class for index (-1, 1) where d = 1."""
     if type(n) is not int or n < 1:
         raise DomainError(f"n must be an integer >= 1, got {_show_int(n)}")
-    return (defects[0] + defects[1]) % n
+    pair = _int_pair(defects)
+    if pair is None:
+        raise DomainError(f"defects must be a pair of integers, got {_show_int(defects)}")
+    return (pair[0] + pair[1]) % n
 
 
 def symmetry_orbit(a: IndexPair) -> IndexPair:
     """Lexicographic minimum of {a, -a, swap(a), -swap(a)}."""
-    ap, am = a
+    pair = _int_pair(a)
+    if pair is None:
+        raise DomainError(f"index must be a pair of integers, got {_show_int(a)}")
+    ap, am = pair
     return min((ap, am), (-ap, -am), (am, ap), (-am, -ap))
 
 
@@ -286,10 +308,6 @@ def brute_force_quotient(a: IndexPair, n: int) -> BruteForceQuotient:
     allocated.
     """
     a = _index_pair(a, n)
-    if a == (0, 0):
-        raise DomainError("degenerate index (0, 0)")
-    if n < 1:
-        raise DomainError(f"n must be >= 1, got {_show_int(n)}")
     cells = (gcd(a[0], a[1], n) * n) ** 2
     if cells > _MAX_CELLS:
         raise CapExceeded(f"n={_show_int(n)} needs an addition table of {_show_int(cells)} entries,"

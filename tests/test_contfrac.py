@@ -94,6 +94,9 @@ def test_expand_domain_checks():
         expand_simple(Fraction(-1, 2), "even")
     with pytest.raises(DomainError):
         expand_simple(Fraction(1, 2), "both")
+    for r in (float("inf"), float("-inf"), float("nan")):  # Fraction(r) raises OverflowError or ValueError
+        with pytest.raises(DomainError, match="^expand_simple requires a rational number, got"):
+            expand_simple(r, "even")
 
 
 @given(unit_fractions)

@@ -52,6 +52,9 @@ def test_forward_domain_check():
         rational_to_invariant(Fraction(5, 4))
     with pytest.raises(DomainError):
         rational_to_invariant(Fraction(-1, 4))
+    for r in (float("inf"), float("nan")):
+        with pytest.raises(DomainError, match=f"^rational_to_invariant requires a rational number, got {r}$"):
+            rational_to_invariant(r)
 
 
 def test_k_to_invariant_examples():
@@ -353,3 +356,6 @@ def test_candidates_domain():
         rational_candidates(Fraction(0))
     with pytest.raises(DomainError):
         rational_candidates(Fraction(1))
+    for r in (float("inf"), float("nan")):
+        with pytest.raises(DomainError, match=f"^rational_candidates requires a rational number, got {r}$"):
+            rational_candidates(r)

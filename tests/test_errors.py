@@ -19,6 +19,7 @@ def test_show_int_prints_up_to_100_digits():
     assert _show_int(Fraction(-2, 5)) == "-2/5" and _show_int(Fraction(3)) == "3"
     assert _show_int(Fraction(1, 10**100)) == "1/<333-bit integer>"
     assert _show_int((1, -(2**400))) == "(1, -<401-bit integer>)" and _show_int((7,)) == "(7,)"
+    assert _show_int([1, -(2**400)]) == "[1, -<401-bit integer>]" and _show_int([]) == "[]"
     assert _show_int(1.5) == "1.5" and _show_int("x") == "'x'"
 
 
@@ -78,6 +79,7 @@ _INDEX_ONE = ExtensionDescriptor(n=6, index=(-1, 1), defects=(2, 0))
     lambda big: ExtensionDescriptor(n=-big, index=(1, 1), defects=(0, 0)),
     lambda big: ExtensionDescriptor(n=5, index=(1, 1), defects=(-big, 0)),
     lambda big: ExtensionDescriptor(n=big, index=(1, 1.5), defects=(0, 0)),
+    lambda big: ExtensionDescriptor(n=5, index=[big, 1.5], defects=(0, 0)),
     lambda big: tensor_factor(ExtensionDescriptor(n=5, index=(big, 1), defects=(0, 0)), 1),
     lambda big: tensor_factor(_INDEX_ONE, -big),
     lambda big: tensor_factor(_INDEX_ONE, big),
@@ -88,6 +90,7 @@ _INDEX_ONE = ExtensionDescriptor(n=6, index=(-1, 1), defects=(2, 0))
     "KSequence.at", "KSequence", "ContinuedFraction", "k_value_bounds", "simple_to_k",
     "build_quotient", "build_quotient-types", "brute_force_quotient",
     "ExtensionDescriptor-n", "ExtensionDescriptor-defects", "ExtensionDescriptor-types",
+    "ExtensionDescriptor-list",
     "tensor_factor-index", "tensor_factor-t", "tensor_factor-divides", "Edge-kind",
 ])
 def test_domain_messages_past_the_int_limit(call):

@@ -56,6 +56,8 @@ def test_build_rejects_degenerate_index():
         build_quotient((1.5, 1), 5)  # not truncated to (1, 1)
     with pytest.raises(DomainError):
         build_quotient((1, 1), True)
+    with pytest.raises(DomainError, match=r"^index pair and n must be integers, got a=5, n=3$"):
+        build_quotient(5, 3)
 
 
 @given(index_pairs, st.integers(1, 30))
@@ -85,6 +87,13 @@ def test_project_kills_the_subgroup():
     assert project((0, q.n), q) == (0, 0)
 
 
+def test_project_rejects_anything_but_a_pair_of_integers():
+    q = build_quotient((-1, 1), 5)
+    for k in ((1.5, 1), (1, 2, 3), 1, (True, 1)):
+        with pytest.raises(DomainError, match="^k must be a pair of integers"):
+            project(k, q)
+
+
 def test_project_is_additive():
     q = build_quotient((2, 4), 6)
     for k1, k2 in product(product(range(-3, 4), repeat=2), repeat=2):
@@ -100,12 +109,18 @@ def test_defect_class_examples():
     for n in (0, 2.5, True):
         with pytest.raises(DomainError):
             defect_class_mod_n((1, 2), n)
+    for defects in ((1.5, 2), ("1", 2), (1, 2, 3), 3):
+        with pytest.raises(DomainError, match="^defects must be a pair of integers"):
+            defect_class_mod_n(defects, 5)
 
 
 def test_symmetry_orbit_examples():
     assert symmetry_orbit((-1, 1)) == (-1, 1)
     assert symmetry_orbit((0, 0)) == (0, 0)
     assert symmetry_orbit((3, -2)) == (-3, 2)
+    for a in ((1, 2, 3), (1,), (0.5, 1), 1):
+        with pytest.raises(DomainError, match="^index must be a pair of integers"):
+            symmetry_orbit(a)
 
 
 @given(index_pairs)
@@ -133,6 +148,8 @@ def test_brute_force_cap():
         brute_force_quotient((1.5, 1), 5)
     with pytest.raises(DomainError):
         brute_force_quotient((1, 1), 5.0)
+    with pytest.raises(DomainError, match=r"^index pair and n must be integers, got a=5, n=3$"):
+        brute_force_quotient(5, 3)
 
 
 def test_brute_force_bounds_the_table_whatever_the_cap():
@@ -426,4 +443,7 @@ def test_descriptor_validation():
         ExtensionDescriptor(n=5.0, index=(-1, 1), defects=(0, 2))
     with pytest.raises(DomainError):
         ExtensionDescriptor(n=5, index=(-1, 1), defects=(True, 2))
+    for index, defects in [(1, (0, 0)), ((-1, 1), 0), ((-1, 1, 0), (0, 0)), ((-1, 1), (0,))]:
+        with pytest.raises(DomainError, match="^n and the index and defect pairs must be integers"):
+            ExtensionDescriptor(5, index, defects)
     assert ExtensionDescriptor(n=5, index=[-1, 1], defects=[0, 2]).index == (-1, 1)
