@@ -20,13 +20,25 @@ from fractions import Fraction
 from typing import Iterable, Literal, Sequence
 
 from .errors import CapExceeded, DomainError, _show_int
-from .exact import ExtendedRational, add, as_extended, reciprocal
+from .exact import ExtendedRational, _fraction, add, as_extended, reciprocal
 
 Parity = Literal["even", "odd"]
 
 # Dense k-sequences are built only up to this height h; the entries of 1/q
 # alone number q - 1.
 _MAX_HEIGHT = 1_000_000
+
+
+def _naturals(values, what: str) -> tuple[int, ...]:
+    """``values`` as a tuple, after checking that it holds only exact ints >= 0."""
+    try:
+        naturals = tuple(values)
+    except TypeError:  # not iterable
+        raise DomainError(f"{what} must be integers >= 0, got {_show_int(values)}") from None
+    for v in naturals:
+        if type(v) is not int or v < 0:  # rejects bool, an int subclass
+            raise DomainError(f"{what} must be integers >= 0, got {_show_int(v)}")
+    return naturals
 
 
 @dataclass(frozen=True)
@@ -39,11 +51,7 @@ class ContinuedFraction:
     def __post_init__(self):
         if type(self.a0) is not int:  # rejects bool, an int subclass
             raise DomainError(f"a0 must be an integer, got {_show_int(self.a0)}")
-        terms = tuple(self.terms)
-        for t in terms:
-            if type(t) is not int or t < 0:
-                raise DomainError(f"terms after a0 must be integers >= 0, got {_show_int(t)}")
-        object.__setattr__(self, "terms", terms)
+        object.__setattr__(self, "terms", _naturals(self.terms, "terms after a0"))
 
     @property
     def is_simple(self) -> bool:
@@ -66,10 +74,7 @@ class KSequence:
     entries: tuple[int, ...] = ()
 
     def __post_init__(self):
-        entries = tuple(self.entries)
-        for e in entries:
-            if type(e) is not int or e < 0:
-                raise DomainError(f"k-sequence entries must be integers >= 0, got {_show_int(e)}")
+        entries = _naturals(self.entries, "k-sequence entries")
         end = len(entries)
         while end and entries[end - 1] == 0:
             end -= 1
@@ -238,9 +243,7 @@ def k_value_bounds(k_prefix: Sequence[int], depth: int) -> tuple[Fraction, Fract
     squeeze over-estimates every continuation.  Width shrinks as ``depth``
     grows, and the intervals for successive depths are nested.
     """
-    entries = tuple(k_prefix)
-    if not all(type(e) is int and e >= 0 for e in entries):
-        raise DomainError(f"k-sequence entries must be integers >= 0, got {_show_int(entries)}")
+    entries = _naturals(k_prefix, "k-sequence entries")  # every entry, the untrusted ones too
     if type(depth) is not int or not 0 <= depth <= len(entries):
         raise DomainError(f"depth must be an integer within 0..{len(entries)}, got {_show_int(depth)}")
     truncated = KSequence(entries[:depth])
@@ -248,14 +251,6 @@ def k_value_bounds(k_prefix: Sequence[int], depth: int) -> tuple[Fraction, Fract
     gap_min = depth - truncated.h + 1  # least gap to the next support point
     *_, lo, hi = convergents(ContinuedFraction(0, (*simple_terms, gap_min)))
     return Fraction(*lo), Fraction(*hi)
-
-
-def _fraction(r, where: str) -> Fraction:
-    """``Fraction(r)``, raising :class:`DomainError` for what it cannot convert, such as inf and nan."""
-    try:
-        return Fraction(r)
-    except (TypeError, ValueError, OverflowError):
-        raise DomainError(f"{where} requires a rational number, got {_show_int(r)}") from None
 
 
 def _check_parity(parity) -> None:

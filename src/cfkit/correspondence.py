@@ -28,13 +28,13 @@ from math import gcd
 from .contfrac import (
     ContinuedFraction,
     KSequence,
-    _fraction,
     _k_entries,
     _simple_terms,
     convergents,
     k_value,
 )
 from .errors import DomainError, _show_int
+from .exact import _fraction
 from .paths import path_counts
 
 

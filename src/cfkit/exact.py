@@ -29,6 +29,8 @@ from fractions import Fraction
 from math import gcd as _gcd
 from numbers import Rational as _RationalABC
 
+from .errors import DomainError, _show_int
+
 
 class ExtendedRational:
     """A rational number, the (unsigned) point at infinity, or ``undefined``.
@@ -108,11 +110,19 @@ INFINITY = _make(1, 0)
 UNDEFINED = _make(0, 0)
 
 
+def _fraction(r, where: str) -> Fraction:
+    """``Fraction(r)``, raising :class:`DomainError` for what it cannot convert, such as inf and nan."""
+    try:
+        return Fraction(r)
+    except (TypeError, ValueError, OverflowError):
+        raise DomainError(f"{where} requires a rational number, got {_show_int(r)}") from None
+
+
 def finite(x) -> ExtendedRational:
     """Wrap an int or Fraction (or anything ``Fraction`` accepts) as a finite extended rational."""
     if type(x) is int:
         return _make(x, 1)
-    value = x if type(x) is Fraction else Fraction(x)
+    value = x if type(x) is Fraction else _fraction(x, "finite")
     return _make(value.numerator, value.denominator)
 
 

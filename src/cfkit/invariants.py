@@ -1,9 +1,10 @@
 """Quotients of Z^2 by Za + nZ^2 and the extension isomorphism invariant.
 
 An extension descriptor carries the matrix size ``n``, an index pair
-``a = (a_+, a_-)`` in Z^2, and a defect pair ``(k_+, k_-)`` in N^2.  Its
-isomorphism class is determined by ``n``, the orbit of ``a`` under negation
-and coordinate swap, and the image of the defect pair in the quotient group
+``a = (a_+, a_-) != (0, 0)`` in Z^2, and a defect pair ``(k_+, k_-)`` in
+N^2.  Its isomorphism class is determined by ``n``, the orbit of ``a`` under
+negation and coordinate swap, and the image of the defect pair in the
+quotient group
 
     D = Z^2 / (Za + nZ^2)  ~=  Z/d + Z/n,   d = gcd(a_+, a_-, n).
 
@@ -54,7 +55,7 @@ class QuotientGroup:
 
 @dataclass(frozen=True)
 class ExtensionDescriptor:
-    """Numerical data of one extension: matrix size, index pair, defect pair."""
+    """Numerical data of one extension: matrix size n >= 1, index pair other than (0, 0), defect pair."""
 
     n: int
     index: IndexPair
@@ -67,6 +68,8 @@ class ExtensionDescriptor:
                               f" index={_show_int(self.index)}, defects={_show_int(self.defects)}")
         if self.n < 1:
             raise DomainError(f"matrix size n must be >= 1, got {_show_int(self.n)}")
+        if index == (0, 0):
+            raise DomainError("degenerate index (0, 0)")
         if defects[0] < 0 or defects[1] < 0:
             raise DomainError(f"defects must be >= 0, got {_show_int(defects)}")
         object.__setattr__(self, "index", index)
@@ -132,13 +135,10 @@ def build_quotient(a: IndexPair, n: int) -> QuotientGroup:
 
 def project(k: tuple[int, int], q: QuotientGroup) -> tuple[int, int]:
     """Image of k in Z/d x Z/n: (k^T A b mod d, k^T A^T a' mod n)."""
-    # _int_pair inlined: the oracles project every coset representative.
-    try:
-        x, y = k
-    except (TypeError, ValueError):
-        x = y = None
-    if type(x) is not int or type(y) is not int:
+    pair = _int_pair(k)
+    if pair is None:
         raise DomainError(f"k must be a pair of integers, got {_show_int(k)}")
+    x, y = pair
     first = (-x * q.b[1] + y * q.b[0]) % q.d
     second = (x * q.a_prime[1] - y * q.a_prime[0]) % q.n
     return (first, second)
@@ -178,13 +178,11 @@ def _apply(sym: tuple[int, bool], index: IndexPair, defects: DefectPair):
 def is_isomorphic(e: ExtensionDescriptor, f: ExtensionDescriptor) -> bool:
     """Decide isomorphism of the extensions described by ``e`` and ``f``.
 
-    False unless the sizes agree and the index orbits agree; otherwise the
-    descriptors are isomorphic iff some symmetry aligning f's index onto e's
-    carries f's defect class onto e's in the common quotient group.
+    False unless the sizes agree; otherwise the descriptors are isomorphic iff
+    some symmetry carries f's index onto e's and f's defect class onto e's in
+    the common quotient group.
     """
     if e.n != f.n:
-        return False
-    if symmetry_orbit(e.index) != symmetry_orbit(f.index):
         return False
     q = build_quotient(e.index, e.n)
     target = project(e.defects, q)

@@ -70,20 +70,18 @@ def _tokenize(text: str) -> list[tuple[str, int]]:
 
 class _Parser:
     def __init__(self, text: str):
-        self.text = text
         self.tokens = _tokenize(text)
         self.i = 0
 
     def peek(self) -> tuple[str, int]:
         return self.tokens[self.i]
 
-    def take(self, expected: str) -> tuple[str, int]:
+    def take(self, expected: str) -> None:
         tok, pos = self.tokens[self.i]
         if tok != expected:
             found = repr(tok) if tok else "end of input"
             raise ParseError(f"expected {expected!r}, found {found}", pos)
         self.i += 1
-        return tok, pos
 
     def take_int(self, minimum: int | None = None) -> int:
         tok, pos = self.tokens[self.i]
@@ -100,8 +98,7 @@ class _Parser:
         self.take("[")
         a0 = self.take_int()
         terms: list[int] = []
-        tok, pos = self.peek()
-        if tok in (";", ","):
+        if self.peek()[0] in (";", ","):
             self.i += 1
             self.parse_element(terms)
             while self.peek()[0] == ",":

@@ -66,6 +66,8 @@ def test_term_validation():
         ContinuedFraction(True)  # bool is not accepted as an integer
     with pytest.raises(DomainError):
         ContinuedFraction(0, (True, 2))
+    with pytest.raises(DomainError, match="^terms after a0 must be integers >= 0, got 5$"):
+        ContinuedFraction(0, 5)  # not iterable
 
 
 @given(st.integers(-9, 9), st.lists(st.integers(0, 4), max_size=10))
@@ -163,6 +165,9 @@ def test_ksequence_normalization():
         KSequence((1, -1))
     with pytest.raises(DomainError):
         KSequence((True,))
+    for entries in (5, None):  # not iterable
+        with pytest.raises(DomainError, match="^k-sequence entries must be integers >= 0, got "):
+            KSequence(entries)
     with pytest.raises(DomainError):
         KSequence((1,)).at(0)
     for index in (True, 1.5, 2.0, "1"):
@@ -265,6 +270,10 @@ def test_bounds_depth_validation():
         k_value_bounds([True, 1], 2)  # bool is not an integer here
     with pytest.raises(DomainError):
         k_value_bounds([1, 1.0], 1)  # untrusted entries are checked too
+    with pytest.raises(DomainError, match="^k-sequence entries must be integers >= 0, got -1$"):
+        k_value_bounds([1, -1], 2)  # the message names the bad entry, as KSequence's does
+    with pytest.raises(DomainError):
+        k_value_bounds(5, 1)  # not iterable
     for depth in (1.0, True):
         with pytest.raises(DomainError):
             k_value_bounds([1], depth)

@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cfkit.contfrac import KSequence, eval_cf, k_to_simple, k_value
+from cfkit.contfrac import KSequence, eval_cf, eval_terms, k_to_simple, k_value
+from cfkit.errors import DomainError
 from cfkit.exact import (
     INFINITY,
     UNDEFINED,
@@ -198,6 +199,16 @@ def test_finite_and_as_extended_coerce_exactly(raw, expected):
         assert v.is_finite and v == expected and str(v) == str(expected)
         assert type(v.value) is Fraction and v.value == expected
         assert as_extended(v) is v
+
+
+@pytest.mark.parametrize("raw", [float("inf"), float("-inf"), float("nan"), None, "x"],
+                         ids=["inf", "-inf", "nan", "None", "str"])
+def test_values_fraction_refuses_raise_domain_error(raw):
+    calls = [finite, as_extended, reciprocal, lambda x: add(1, x), lambda x: add(x, 1),
+             lambda x: eval_terms([x, 1]), lambda x: eval_terms([1, x])]
+    for call in calls:
+        with pytest.raises(DomainError, match="^finite requires a rational number, got "):
+            call(raw)
 
 
 @given(rationals)

@@ -437,6 +437,8 @@ def test_descriptor_validation():
         ExtensionDescriptor(0, (-1, 1), (0, 0))
     with pytest.raises(DomainError):
         ExtensionDescriptor(3, (-1, 1), (-1, 0))
+    with pytest.raises(DomainError, match=r"^degenerate index \(0, 0\)$"):
+        ExtensionDescriptor(5, (0, 0), (0, 0))
     with pytest.raises(DomainError):
         ExtensionDescriptor(n=5, index=(-1.9, 1), defects=(0.5, 2))  # not truncated
     with pytest.raises(DomainError):
