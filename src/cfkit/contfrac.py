@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Literal, Sequence
 
-from .errors import CapExceeded, DomainError, _show_int
+from .errors import CapExceeded, DomainError, _require_type, _show_int
 from .exact import ExtendedRational, _fraction, add, as_extended, reciprocal
 
 Parity = Literal["even", "odd"]
@@ -134,11 +134,12 @@ def expand_simple(r, parity: Parity) -> ContinuedFraction:
     """
     _check_parity(parity)
     r = _fraction(r, "expand_simple")
-    if not 0 <= r < 1:
+    num, den = r.numerator, r.denominator
+    if not 0 <= num < den:
         raise DomainError(f"expand_simple requires 0 <= r < 1, got {_show_int(r)}")
-    if r == 0 and parity == "odd":
+    if num == 0 and parity == "odd":
         raise DomainError("0 has no odd-parity simple expansion")
-    return ContinuedFraction(0, tuple(_simple_terms(r.numerator, r.denominator, parity)))
+    return ContinuedFraction(0, tuple(_simple_terms(num, den, parity)))
 
 
 def _simple_terms(num: int, den: int, parity: Parity) -> list[int]:
@@ -180,6 +181,7 @@ def k_to_simple(k: KSequence) -> ContinuedFraction:
     [0; p_1, k_{p_1}, p_2-p_1, k_{p_2}, ..., p_m-p_{m-1}, k_{p_m}], a simple
     CF with an even number of terms ending in k_{p_m}.
     """
+    _require_type(k, KSequence, "k_to_simple")
     if k.h == 0:
         raise DomainError("the zero k-sequence has no simple CF form (its value is 0)")
     terms = []
@@ -221,6 +223,7 @@ def k_value(k: KSequence) -> Fraction:
     Evaluated directly on the zero-padded form with the partial arithmetic,
     independently of :func:`k_to_simple`, so the two routes cross-check.
     """
+    _require_type(k, KSequence, "k_value")
     if k.h == 0:
         return Fraction(0)
     terms = [1] * (2 * k.h + 1)

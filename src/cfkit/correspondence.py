@@ -33,7 +33,7 @@ from .contfrac import (
     convergents,
     k_value,
 )
-from .errors import DomainError, _show_int
+from .errors import DomainError, _require_type, _show_int
 from .exact import _fraction
 from .paths import path_counts
 
@@ -65,6 +65,7 @@ class TowerLevel:
 
 def k_to_invariant(k: KSequence) -> tuple[int, int]:
     """(n, m) of a k-sequence: the top cumulative path count and the defect sum."""
+    _require_type(k, KSequence, "k_to_invariant")
     counts = path_counts(k)
     n = counts.cumulative[k.h]
     m = sum(counts.cumulative[: k.h])
@@ -74,11 +75,12 @@ def k_to_invariant(k: KSequence) -> tuple[int, int]:
 def rational_to_invariant(r) -> RationalInvariant:
     """Full forward pipeline for a rational in [0,1)."""
     theta = _fraction(r, "rational_to_invariant")
-    if not 0 <= theta < 1:
+    num, den = theta.numerator, theta.denominator
+    if not 0 <= num < den:
         raise DomainError(f"rational_to_invariant requires 0 <= r < 1, got {_show_int(theta)}")
-    k = KSequence(_k_entries(_simple_terms(theta.numerator, theta.denominator, "even")))
+    k = KSequence(_k_entries(_simple_terms(num, den, "even")))
     n, m = k_to_invariant(k)
-    if n != theta.denominator:
+    if n != den:
         raise AssertionError(f"forward map gave n={_show_int(n)} for {_show_int(theta)}")
     return RationalInvariant(n=n, m=m, k=k, theta=theta)
 
@@ -145,8 +147,8 @@ def rational_candidates(r) -> tuple[tuple[int, int], tuple[int, int]]:
     ``(q, x)`` and ``(q, q - x)`` for ``r = p/q`` and ``x = -p^-1 mod q``.
     """
     theta = _fraction(r, "rational_candidates")
-    if not 0 < theta < 1:
+    p, q = theta.numerator, theta.denominator
+    if not 0 < p < q:
         raise DomainError(f"rational_candidates requires 0 < r < 1, got {_show_int(theta)}")
-    q = theta.denominator
-    x = -pow(theta.numerator, -1, q) % q
+    x = -pow(p, -1, q) % q
     return (q, x), (q, q - x)

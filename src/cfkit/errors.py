@@ -11,6 +11,12 @@ class CapExceeded(DomainError):
     """A requested enumeration is larger than a fixed bound."""
 
 
+def _require_type(value, cls: type, where: str) -> None:
+    """Raise :class:`DomainError` naming ``where`` and the type of ``value`` unless it is a ``cls``."""
+    if not isinstance(value, cls):
+        raise DomainError(f"{where} expects {cls.__name__}, got {type(value).__name__}")
+
+
 _SHOWN_BOUND = 10**100  # integers below it in magnitude print in decimal
 
 

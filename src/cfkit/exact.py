@@ -111,7 +111,12 @@ UNDEFINED = _make(0, 0)
 
 
 def _fraction(r, where: str) -> Fraction:
-    """``Fraction(r)``, raising :class:`DomainError` for what it cannot convert, such as inf and nan."""
+    """``Fraction(r)``, raising :class:`DomainError` for what it cannot convert, such as inf and nan.
+
+    A ``Fraction`` is returned unchanged.
+    """
+    if type(r) is Fraction:
+        return r
     try:
         return Fraction(r)
     except (TypeError, ValueError, OverflowError):
@@ -122,7 +127,7 @@ def finite(x) -> ExtendedRational:
     """Wrap an int or Fraction (or anything ``Fraction`` accepts) as a finite extended rational."""
     if type(x) is int:
         return _make(x, 1)
-    value = x if type(x) is Fraction else _fraction(x, "finite")
+    value = _fraction(x, "finite")
     return _make(value.numerator, value.denominator)
 
 

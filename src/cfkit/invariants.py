@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from math import gcd
 from operator import itemgetter
 
-from .errors import CapExceeded, DomainError, _show_int
+from .errors import CapExceeded, DomainError, _require_type, _show_int
 
 IndexPair = tuple[int, int]
 DefectPair = tuple[int, int]
@@ -182,6 +182,8 @@ def is_isomorphic(e: ExtensionDescriptor, f: ExtensionDescriptor) -> bool:
     some symmetry carries f's index onto e's and f's defect class onto e's in
     the common quotient group.
     """
+    _require_type(e, ExtensionDescriptor, "is_isomorphic")
+    _require_type(f, ExtensionDescriptor, "is_isomorphic")
     if e.n != f.n:
         return False
     q = build_quotient(e.index, e.n)
@@ -195,6 +197,7 @@ def is_isomorphic(e: ExtensionDescriptor, f: ExtensionDescriptor) -> bool:
 
 def invariant_class(e: ExtensionDescriptor) -> InvariantClass:
     """Canonical form: two descriptors are isomorphic iff their classes are equal."""
+    _require_type(e, ExtensionDescriptor, "invariant_class")
     canon = symmetry_orbit(e.index)
     q = build_quotient(canon, e.n)
     images = [
@@ -213,6 +216,7 @@ def tensor_factor(e: ExtensionDescriptor, t: int) -> tuple[int, int]:
     both m and n, and then has invariant (p, l) = (n/t, m/t).  Divisibility is
     necessary, so anything else raises.
     """
+    _require_type(e, ExtensionDescriptor, "tensor_factor")
     if symmetry_orbit(e.index) != (-1, 1):
         raise DomainError(f"tensor factorization needs index (-1,1) up to symmetry, got {_show_int(e.index)}")
     if type(t) is not int:

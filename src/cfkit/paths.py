@@ -35,11 +35,13 @@ still refused before anything is built.
 
 A word is a tuple of :class:`Edge` values, each an immutable tuple
 ``(kind, level, wall)`` with one checked constructor.  The enumeration builds
-each level's edges once per call through that constructor, splits the levels
-in two, recursively, and joins the sorted edge sequences of the two parts in
-one list comprehension.  Each word is thus one tuple concatenation of its two
-parts, and each part is a block of no more sequences than there are words.
-The split falls where the bit lengths of the level sizes balance, so a wide
+each level's edges once per k-sequence through that constructor: the levels
+of the last k-sequence enumerated are kept for the next call, as long as they
+hold at most ``_MAX_KEPT_EDGES`` = 4096 edges.  It splits the levels in two,
+recursively, and joins the sorted edge sequences of the two parts in one list
+comprehension.  Each word is thus one tuple concatenation of its two parts,
+and each part is a block of no more sequences than there are words.  The
+split falls where the bit lengths of the level sizes balance, so a wide
 level becomes its own block instead of being copied into a larger one.  On a
 long wall-free chain a block of s levels holds s + 1 sequences, so the cost
 is quadratic in the length: ``(0,)*999 + (1,)`` takes about 50 ms (2-vCPU
@@ -50,13 +52,18 @@ from __future__ import annotations
 
 from bisect import bisect, bisect_left
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import NamedTuple
 
 from .contfrac import KSequence
-from .errors import CapExceeded, DomainError, _show_int
+from .errors import CapExceeded, DomainError, _require_type, _show_int
 
 _MAX_WORDS = 1_000_000
 _MAX_EDGES = 10_000_000
+# Level edges are kept across calls only up to this many (about 0.5 MiB).
+_MAX_KEPT_EDGES = 4096
+# (entries, levels) of the last k-sequence enumerated; see _levels.
+_snapshot: tuple = (None, (None,))
 
 _KINDS = ("alpha", "beta", "gamma")
 
@@ -115,6 +122,7 @@ class PathCounts:
 
 def path_counts(k: KSequence) -> PathCounts:
     """Counting sequences through the support height h; both stay flat past it."""
+    _require_type(k, KSequence, "path_counts")
     per = [1]
     cum = [1]
     total = 1  # sum(cum)
@@ -136,9 +144,12 @@ def enumerate_paths(k: KSequence, length: int) -> list[PathWord]:
     those right parts are a suffix of the sorted list.  Since both parts are
     sorted, the output is sorted lexicographically on the edge list, edges
     compared by kind (alpha < beta < gamma) and then by wall index.  Each
-    word is one tuple concatenation of its two parts, and each level's edges
-    are built once per call, through the checked constructor of :class:`Edge`.
-    Length 0 yields the empty word; the result is empty when k_length = 0.
+    word is one tuple concatenation of its two parts.  Each level's edges are
+    built once per k-sequence, through the checked constructor of
+    :class:`Edge`, and reused by later calls on the same ``k`` while its
+    levels built so far hold at most ``_MAX_KEPT_EDGES`` = 4096 edges; no
+    level past ``length`` is built.  Length 0 yields the empty word; the
+    result is empty when k_length = 0.
 
     Raises :class:`CapExceeded` when more than ``_MAX_WORDS`` words have
     length <= ``length``, that is, when cumulative[min(length, h)] does, or
@@ -147,6 +158,7 @@ def enumerate_paths(k: KSequence, length: int) -> list[PathWord]:
     before it, betas and a first wall after it), so no block holds more
     sequences than the result holds words.
     """
+    _require_type(k, KSequence, "enumerate_paths")
     if type(length) is not int or length < 0:
         raise DomainError(f"length must be an integer >= 0, got {_show_int(length)}")
     # The pass of path_counts through min(length, h), stopped once the count passes the bound.
@@ -164,16 +176,37 @@ def enumerate_paths(k: KSequence, length: int) -> list[PathWord]:
     # Here 1 <= length <= h, so per is per_length[length].
     if per * length > _MAX_EDGES:
         raise CapExceeded(f"more than {_MAX_EDGES} edges in the {per} words of length {length} to enumerate")
-    levels = [None]
-    bits = [0]
-    for t in range(1, length + 1):
-        walls = [(Edge("gamma", t, w),) for w in range(1, k.at(t) + 1)]
-        levels.append(walls if t == length else [(Edge("alpha", t),), (Edge("beta", t),), *walls])
-        bits.append(bits[-1] + len(levels[t]).bit_length())
+    full = _levels(k, length)
+    levels = [*full[:length], list(full[length][2:])]  # the last level offers only its walls
+    bits = list(accumulate((len(level).bit_length() for level in levels[1:]), initial=0))
     words = _joined(levels, bits, 1, length)
     if len(words) != per:
         raise AssertionError(f"enumerated {len(words)} words of length {length}, counted {per}")
     return words
+
+
+def _levels(k: KSequence, length: int) -> tuple:
+    """The checked edge 1-tuples of levels 1..``length`` of ``k``, at least.
+
+    Level t is ``((alpha,), (beta,), (gamma(1),), ..., (gamma(k_t),))`` and
+    index 0 holds None.  The levels of the last k-sequence enumerated are
+    kept in ``_snapshot``, keyed on the identity of its entries tuple, which
+    the snapshot holds, so that id is never reused.  A longer length extends
+    them into a new tuple that replaces the snapshot whole, and only while
+    the levels hold at most ``_MAX_KEPT_EDGES`` edges.
+    """
+    global _snapshot
+    entries, levels = _snapshot
+    if entries is not k.entries:
+        entries, levels = k.entries, (None,)
+    if len(levels) <= length:
+        levels += tuple(
+            ((Edge("alpha", t),), (Edge("beta", t),), *[(Edge("gamma", t, w),) for w in range(1, entries[t - 1] + 1)])
+            for t in range(len(levels), length + 1)
+        )
+        if 2 * length + sum(entries[:length]) <= _MAX_KEPT_EDGES:
+            _snapshot = entries, levels
+    return levels
 
 
 def _joined(levels: list, bits: list[int], lo: int, hi: int) -> list[PathWord]:
@@ -202,6 +235,7 @@ def defect_by_enumeration(k: KSequence) -> int:
     request over the word bound raises at length h before any shorter length
     is built, and only one length's words are held at a time.
     """
+    _require_type(k, KSequence, "defect_by_enumeration")
     if k.h == 0:
         raise DomainError("defect enumeration needs a nonzero k-sequence")
     return sum((k.h - f) * len(enumerate_paths(k, f)) for f in range(k.h, -1, -1))

@@ -3,12 +3,34 @@ from fractions import Fraction
 
 import pytest
 
-from cfkit.contfrac import ContinuedFraction, KSequence, expand_simple, k_value_bounds, simple_to_k
-from cfkit.correspondence import dimension_tower, invariant_to_k, rational_candidates, rational_to_invariant
+from cfkit.contfrac import (
+    ContinuedFraction,
+    KSequence,
+    expand_simple,
+    k_to_simple,
+    k_value,
+    k_value_bounds,
+    simple_to_k,
+)
+from cfkit.correspondence import (
+    dimension_tower,
+    invariant_to_k,
+    k_to_invariant,
+    rational_candidates,
+    rational_to_invariant,
+)
 from cfkit.errors import CapExceeded, DomainError, _show_int
-from cfkit.invariants import ExtensionDescriptor, brute_force_quotient, build_quotient, tensor_factor
+from cfkit.exact import _fraction
+from cfkit.invariants import (
+    ExtensionDescriptor,
+    brute_force_quotient,
+    build_quotient,
+    invariant_class,
+    is_isomorphic,
+    tensor_factor,
+)
 from cfkit.literals import parse_cf
-from cfkit.paths import Edge, enumerate_paths
+from cfkit.paths import Edge, defect_by_enumeration, enumerate_paths, path_counts
 
 
 def test_show_int_prints_up_to_100_digits():
@@ -97,3 +119,45 @@ def test_domain_messages_past_the_int_limit(call):
     # each message quotes an integer of more digits than str() may convert
     message = _message_at_the_int_limit(lambda limit: call(10**(limit + 1)), DomainError)
     assert "-bit integer>" in message and len(message) < 200
+
+
+_PLAIN_TUPLE = (5, (1, 1), (0, 0))
+
+
+@pytest.mark.parametrize("call, expected", [
+    (lambda: invariant_class(_PLAIN_TUPLE), "invariant_class expects ExtensionDescriptor"),
+    (lambda: is_isomorphic(_PLAIN_TUPLE, _INDEX_ONE), "is_isomorphic expects ExtensionDescriptor"),
+    (lambda: is_isomorphic(_INDEX_ONE, _PLAIN_TUPLE), "is_isomorphic expects ExtensionDescriptor"),
+    (lambda: tensor_factor(_PLAIN_TUPLE, 1), "tensor_factor expects ExtensionDescriptor"),
+    (lambda: path_counts((1, 1)), "path_counts expects KSequence"),
+    (lambda: enumerate_paths((1, 1), 2), "enumerate_paths expects KSequence"),
+    (lambda: defect_by_enumeration((1, 1)), "defect_by_enumeration expects KSequence"),
+    (lambda: k_to_invariant((1, 1)), "k_to_invariant expects KSequence"),
+    (lambda: k_value((1, 1)), "k_value expects KSequence"),
+    (lambda: k_to_simple((1, 1)), "k_to_simple expects KSequence"),
+], ids=["invariant_class", "is_isomorphic-e", "is_isomorphic-f", "tensor_factor", "path_counts",
+        "enumerate_paths", "defect_by_enumeration", "k_to_invariant", "k_value", "k_to_simple"])
+def test_plain_tuples_are_refused_by_type(call, expected):
+    # the message names the function and the type, and holds no object address
+    with pytest.raises(DomainError, match=f"^{expected}, got tuple$"):
+        call()
+
+
+@pytest.mark.parametrize("r", [Fraction(-1, 2), Fraction(1), Fraction(7, 5), -1, 1, 2])
+def test_forward_range_messages(r):
+    # the bounds are compared on numerator and denominator; the message quotes the rational
+    shown = _show_int(Fraction(r))
+    for call, refusal in [(rational_to_invariant, "rational_to_invariant requires 0 <= r < 1"),
+                          (lambda r: expand_simple(r, "even"), "expand_simple requires 0 <= r < 1"),
+                          (rational_candidates, "rational_candidates requires 0 < r < 1")]:
+        with pytest.raises(DomainError, match=f"^{refusal}, got {shown}$"):
+            call(r)
+    with pytest.raises(DomainError, match="^rational_candidates requires 0 < r < 1, got 0$"):
+        rational_candidates(Fraction(0))
+    assert rational_to_invariant(Fraction(0)).n == 1 and expand_simple(0, "even").terms == ()
+
+
+def test_an_exact_fraction_is_not_converted():
+    x = Fraction(3, 7)
+    assert _fraction(x, "test") is x and rational_to_invariant(x).theta is x
+    assert _fraction(3, "test") == Fraction(3) and type(_fraction(True, "test")) is Fraction

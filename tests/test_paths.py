@@ -1,7 +1,12 @@
+import os
 import pickle
 import random
+import subprocess
+import sys
+import threading
 import time
 from itertools import product
+from pathlib import Path
 
 import pytest
 
@@ -399,3 +404,104 @@ def test_enumerate_rejects_negative_length():
 ])
 def test_edge_text(edge, text):
     assert str(edge) == text
+
+
+def test_reused_levels_give_the_reference_words():
+    # lengths up then down on A, then B, then A again, and an equal A in a new entries tuple
+    a, b = KSequence((1, 2, 0, 1, 3)), KSequence((2, 0, 1, 2))
+    a_again = KSequence(tuple(list(a.entries)))
+    assert a_again == a and a_again.entries is not a.entries
+    for k in (a, b, a, a_again, b, a_again):
+        for f in [*range(k.h + 2), *range(k.h + 1, -1, -1)]:
+            words, expected = enumerate_paths(k, f), reference_enumeration(k, f)
+            assert words == expected, (k, f)
+            assert fields(words) == fields(expected), (k, f)
+
+
+def counted_edges(monkeypatch) -> list:
+    """The arguments of every ``Edge`` the enumeration builds, from an empty snapshot on."""
+    built = []
+
+    def counting(*args):
+        built.append(args)
+        return Edge(*args)
+
+    monkeypatch.setattr(paths, "Edge", counting)
+    monkeypatch.setattr(paths, "_snapshot", (None, (None,)))
+    return built
+
+
+def test_each_level_is_built_once_per_k_sequence(monkeypatch):
+    built = counted_edges(monkeypatch)
+    k = KSequence((1, 2, 0, 1, 3))
+    assert defect_by_enumeration(k) == sum(path_counts(k).cumulative[:k.h])
+    # sum(k_t + 2) edges; one level set per call would build 31
+    assert len(built) <= sum(e + 2 for e in k.entries) == 17
+    assert len(set(built)) == len(built)
+
+
+def test_levels_are_built_only_up_to_the_requested_length(monkeypatch):
+    built = counted_edges(monkeypatch)
+    k = KSequence((1, 2, 0, 1, 3))
+    assert len(enumerate_paths(k, 2)) == 6
+    assert sorted({level for _, level, *_ in built}) == [1, 2] and len(built) == 7
+    assert enumerate_paths(k, 3) == [] and len(built) == 7  # k_3 = 0: nothing to build
+    assert len(enumerate_paths(k, 4)) == path_counts(k).per_length[4] and len(built) == 7 + 2 + 3
+    enumerate_paths(k, 1)
+    assert len(built) == 12
+
+
+def test_a_large_level_set_is_not_kept(monkeypatch):
+    import gc
+    import tracemalloc
+
+    monkeypatch.setattr(paths, "_snapshot", (None, (None,)))
+    k = KSequence((0,) * 5 + (50_000,))  # 50 012 edges, past the bound of 4 096
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        words = enumerate_paths(k, 6)
+        assert len(words) == 300_000
+        del words
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert paths._snapshot[0] is not k.entries
+    # 4 096 kept edges take about 0.5 MiB; these levels alone take about 6 MiB
+    assert retained < 512 * 1024, retained
+
+
+def test_no_levels_are_built_at_import():
+    env = dict(os.environ, PYTHONPATH=str(Path(paths.__file__).parents[1]))
+    code = "from cfkit import paths; print(paths._snapshot)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "(None, (None,))\n"
+
+
+def test_concurrent_callers_get_the_single_threaded_words():
+    sequences = [KSequence((1, 2, 0, 1, 3)), KSequence((2, 0, 1, 2)), KSequence((0, 0, 4, 1)),
+                 KSequence((3, 1, 1))]
+    expected = {k: [enumerate_paths(k, f) for f in range(k.h + 2)] for k in sequences}
+    mismatches = []
+
+    def run(k):
+        for _ in range(40):
+            for f in range(k.h + 2):
+                if enumerate_paths(k, f) != expected[k][f]:
+                    mismatches.append((k, f))
+
+    saved = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads as often as the interpreter allows
+    try:
+        threads = [threading.Thread(target=run, args=(k,)) for k in sequences]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(saved)
+    assert not any(thread.is_alive() for thread in threads)
+    assert mismatches == []
