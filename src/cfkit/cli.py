@@ -61,7 +61,7 @@ def _descriptor(text: str) -> ExtensionDescriptor:
 def _jsonable(value):
     """Lists and dicts keep their shape, booleans and None stay; all else becomes its str."""
     if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
+        return [str(v) if type(v) is int else _jsonable(v) for v in value]
     if isinstance(value, dict):
         return {k: _jsonable(v) for k, v in value.items()}
     return value if value is None or isinstance(value, bool) else str(value)
@@ -70,7 +70,7 @@ def _jsonable(value):
 def _text(value) -> str:
     """Text rendering of a converted value: lists compact, true/false/null lowercase."""
     if isinstance(value, list):
-        return "[" + ",".join(map(_text, value)) + "]"
+        return "[" + ",".join([v if type(v) is str else _text(v) for v in value]) + "]"
     return value if isinstance(value, str) else json.dumps(value)
 
 

@@ -113,8 +113,8 @@ def eval_terms(values: Iterable) -> ExtendedRational:
     vals = [as_extended(v) for v in values]
     if not vals:
         raise DomainError("cannot evaluate an empty continued fraction")
-    acc = vals[-1]
-    for v in reversed(vals[:-1]):
+    acc = vals.pop()
+    for v in reversed(vals):
         acc = add(v, reciprocal(acc))
     return acc
 

@@ -21,6 +21,11 @@ reduced with ``den > 0``, ``inf`` is ``(1, 0)`` and ``undefined`` is
 continued-fraction fold builds no :class:`fractions.Fraction`; the finite
 value is handed out as a ``Fraction`` only when :attr:`ExtendedRational.value`
 is read, and rationals elsewhere in the package are ``Fraction`` throughout.
+
+The fold's hot branches (an int coerced by :func:`as_extended`, :func:`add`
+with an integer left operand, :func:`reciprocal` of a positive value) build
+their result in place with the same three calls as ``_make``, so that each
+fold step runs two Python frames, ``add`` and ``reciprocal``, not four.
 """
 
 from __future__ import annotations
@@ -99,7 +104,11 @@ _set_den = ExtendedRational._den.__set__
 
 
 def _make(num: int, den: int) -> ExtendedRational:
-    """The one constructor: ``(num, den)`` must already be in the stored form."""
+    """Build an instance of ``(num, den)``, which must already be in the stored form.
+
+    The cold paths use it; the hot branches of :func:`as_extended`, :func:`add`
+    and :func:`reciprocal` inline its three calls.
+    """
     x = _new(ExtendedRational)
     _set_num(x, num)
     _set_den(x, den)
@@ -134,7 +143,10 @@ def finite(x) -> ExtendedRational:
 def as_extended(x) -> ExtendedRational:
     """Coerce ints and Fractions; pass ExtendedRational through."""
     if type(x) is int:
-        return _make(x, 1)
+        r = _new(ExtendedRational)
+        _set_num(r, x)
+        _set_den(r, 1)
+        return r
     if isinstance(x, ExtendedRational):
         return x
     return finite(x)
@@ -150,7 +162,10 @@ def add(x: ExtendedRational, y: ExtendedRational) -> ExtendedRational:
     if b and d:
         # a/b + c/d with b == 1 is (a*d + c)/d, already reduced: gcd(a*d + c, d) = gcd(c, d) = 1.
         if b == 1:
-            return _make(a * d + c, d)
+            r = _new(ExtendedRational)
+            _set_num(r, a * d + c)
+            _set_den(r, d)
+            return r
         num, den = a * d + c * b, b * d
         g = _gcd(num, den)
         return _make(num // g, den // g)
@@ -166,7 +181,10 @@ def reciprocal(x: ExtendedRational) -> ExtendedRational:
     num, den = x._num, x._den
     # Swapping a reduced pair keeps it reduced; inf = (1, 0) swaps to 0 = (0, 1).
     if num > 0:
-        return _make(den, num)
+        r = _new(ExtendedRational)
+        _set_num(r, den)
+        _set_den(r, num)
+        return r
     if num < 0:
         return _make(-den, -num)
     return INFINITY if den else UNDEFINED

@@ -1,9 +1,11 @@
+from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from cfkit import contfrac
 from cfkit.contfrac import (
     ContinuedFraction,
     KSequence,
@@ -234,6 +236,50 @@ def test_padded_form_equals_simple_form_exhaustively():
             assert eval_terms(padded) == eval_cf(k_to_simple(k))
             count += 1
     assert count == sum(3 * 4 ** (h - 1) for h in range(1, 7))  # 4095
+
+
+# --- the fold's call structure --------------------------------------------
+
+
+@contextmanager
+def _counted_fold():
+    """Count the fold's add and reciprocal calls, replaced where eval_terms looks them up."""
+    counts = {"add": 0, "reciprocal": 0}
+
+    def counting(name):
+        fn = getattr(contfrac, name)
+
+        def call(*args):
+            counts[name] += 1
+            return fn(*args)
+
+        return call
+
+    with pytest.MonkeyPatch.context() as mp:
+        for name in counts:
+            mp.setattr(contfrac, name, counting(name))
+        yield counts
+
+
+@pytest.mark.parametrize("entries", [
+    (3, 1, 4, 1, 5, 9, 2, 6),  # dense
+    (0, 0, 0, 2, 0, 0, 1, 0, 0, 0, 0, 7),  # runs of zeros
+    (0,) * 299 + (1,),
+    (),  # h = 0
+])
+def test_k_value_folds_with_two_calls_of_each_per_entry(entries):
+    k = KSequence(entries)
+    with _counted_fold() as counts:
+        value = k_value(k)
+    assert counts == {"add": 2 * k.h, "reciprocal": 2 * k.h}
+    assert value == (eval_cf(k_to_simple(k)).value if k.h else 0)
+
+
+@given(st.one_of(st.integers(), st.fractions()), st.lists(st.integers(0, 5), max_size=20))
+def test_eval_terms_folds_with_one_call_of_each_per_later_term(head, tail):
+    with _counted_fold() as counts:
+        eval_terms([head, *tail])
+    assert counts == {"add": len(tail), "reciprocal": len(tail)}
 
 
 # --- interval bounds ------------------------------------------------------

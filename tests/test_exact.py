@@ -1,7 +1,8 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from cfkit.contfrac import KSequence, eval_cf, eval_terms, k_to_simple, k_value
@@ -85,6 +86,59 @@ def test_immutability():
     with pytest.raises(AttributeError):
         del x._den
     assert x == 1
+
+
+# --- stored form at every construction site ------------------------------
+
+coercibles = st.one_of(st.integers(), st.booleans(), rationals,
+                       st.floats(allow_nan=False, allow_infinity=False))
+operands = st.one_of(st.integers(), rationals, extendeds)
+
+
+def _assert_stored_form(x):
+    """Exactly an ExtendedRational holding a reduced pair with den > 0, (1, 0) or (0, 0), immutably."""
+    assert type(x) is ExtendedRational
+    num, den = x._num, x._den
+    assert type(num) is int and type(den) is int
+    assert (den > 0 and gcd(num, den) == 1) or (num, den) in ((1, 0), (0, 0))
+    with pytest.raises(AttributeError):
+        x._num = num + 1
+    with pytest.raises(AttributeError):
+        del x._den
+    assert (x._num, x._den) == (num, den)
+
+
+@given(coercibles)
+def test_finite_and_as_extended_store_the_canonical_form(raw):
+    _assert_stored_form(finite(raw))
+    _assert_stored_form(as_extended(raw))
+
+
+@given(operands, operands)
+@example(3, finite(Fraction(2, 7)))  # integer left operand: the unreduced branch
+@example(finite(Fraction(1, 6)), finite(Fraction(1, 3)))  # the gcd branch
+@example(-4, 4)
+@example(2, INFINITY)
+@example(INFINITY, INFINITY)
+@example(UNDEFINED, 1)
+def test_add_stores_the_canonical_form(x, y):
+    _assert_stored_form(add(x, y))
+
+
+@given(operands)
+@example(finite(Fraction(5, 3)))
+@example(-7)
+@example(finite(Fraction(-2, 9)))
+@example(0)
+@example(INFINITY)
+@example(UNDEFINED)
+def test_reciprocal_stores_the_canonical_form(x):
+    _assert_stored_form(reciprocal(x))
+
+
+@given(st.lists(operands, min_size=1, max_size=8))
+def test_eval_terms_stores_the_canonical_form(values):
+    _assert_stored_form(eval_terms(values))
 
 
 @given(extendeds, extendeds)
