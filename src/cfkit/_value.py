@@ -1,0 +1,47 @@
+"""The base of cfkit's immutable value classes.
+
+A value class names its fields once, as ``__slots__ = __match_args__ =
+(...)``, and sets each slot once in its own ``__init__`` through
+``object.__setattr__``, after its checks.  The base supplies what a frozen
+dataclass would generate: ``repr`` in the dataclass format, ``==`` between
+instances of one class and ``hash``, both over the field tuple, refusal of
+assignment and deletion, pickling and copying through ``__init__``, and
+``_replace``.  Unlike the dataclass decorator, it imports nothing and
+generates no code when a class is defined, which keeps ``import cfkit`` (and
+so each ``cfkit`` command) from paying for ``inspect``, ``ast`` and ``dis``.
+"""
+
+from __future__ import annotations
+
+
+class _Value:
+    __slots__ = ()
+    __match_args__: tuple[str, ...] = ()
+
+    def _astuple(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__match_args__])
+
+    def _replace(self, **changes):
+        """A copy with ``changes`` applied, built and checked by ``__init__``."""
+        return type(self)(**dict(zip(self.__match_args__, self._astuple()), **changes))
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
+        return f"{type(self).__qualname__}({shown})"
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._astuple() == other._astuple()
+
+    def __hash__(self) -> int:
+        return hash(self._astuple())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), self._astuple()

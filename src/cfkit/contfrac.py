@@ -15,10 +15,10 @@ coordinate on [0,1) is the input to the path-counting machinery in
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Literal, Sequence
 
+from ._value import _Value
 from .errors import CapExceeded, DomainError, _require_type, _show_int
 from .exact import ExtendedRational, _fraction, add, as_extended, reciprocal
 
@@ -41,17 +41,18 @@ def _naturals(values, what: str) -> tuple[int, ...]:
     return naturals
 
 
-@dataclass(frozen=True)
-class ContinuedFraction:
+class ContinuedFraction(_Value):
     """``[a0; a1, ..., aN]`` with integer terms, a_i >= 0 for i >= 1."""
 
+    __slots__ = __match_args__ = ("a0", "terms")
     a0: int
-    terms: tuple[int, ...] = ()
+    terms: tuple[int, ...]
 
-    def __post_init__(self):
-        if type(self.a0) is not int:  # rejects bool, an int subclass
-            raise DomainError(f"a0 must be an integer, got {_show_int(self.a0)}")
-        object.__setattr__(self, "terms", _naturals(self.terms, "terms after a0"))
+    def __init__(self, a0: int, terms: Iterable[int] = ()):
+        if type(a0) is not int:  # rejects bool, an int subclass
+            raise DomainError(f"a0 must be an integer, got {_show_int(a0)}")
+        object.__setattr__(self, "a0", a0)
+        object.__setattr__(self, "terms", _naturals(terms, "terms after a0"))
 
     @property
     def is_simple(self) -> bool:
@@ -67,14 +68,14 @@ class ContinuedFraction:
         return f"[{self.a0}; " + ", ".join(str(t) for t in self.terms) + "]"
 
 
-@dataclass(frozen=True)
-class KSequence:
+class KSequence(_Value):
     """Finitely supported sequence (k_1, ..., k_h), trailing zeros trimmed."""
 
-    entries: tuple[int, ...] = ()
+    __slots__ = __match_args__ = ("entries",)
+    entries: tuple[int, ...]
 
-    def __post_init__(self):
-        entries = _naturals(self.entries, "k-sequence entries")
+    def __init__(self, entries: Iterable[int] = ()):
+        entries = _naturals(entries, "k-sequence entries")
         end = len(entries)
         while end and entries[end - 1] == 0:
             end -= 1

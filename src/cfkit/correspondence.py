@@ -21,10 +21,10 @@ consecutive levels.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
+from ._value import _Value
 from .contfrac import (
     ContinuedFraction,
     KSequence,
@@ -38,18 +38,23 @@ from .exact import _fraction
 from .paths import path_counts
 
 
-@dataclass(frozen=True)
-class RationalInvariant:
+class RationalInvariant(_Value):
     """A rational together with its k-sequence and invariant pair (n, m)."""
 
+    __slots__ = __match_args__ = ("n", "m", "k", "theta")
     n: int
     m: int
     k: KSequence
     theta: Fraction
 
+    def __init__(self, n: int, m: int, k: KSequence, theta: Fraction):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "theta", theta)
 
-@dataclass(frozen=True)
-class TowerLevel:
+
+class TowerLevel(_Value):
     """One stage of the dimension tower: level i holds (q_i, q_{i-1}).
 
     ``mult`` is the multiplicity matrix [[a_{i+1}, 1], [1, 0]] of the
@@ -58,9 +63,15 @@ class TowerLevel:
     term exists.
     """
 
+    __slots__ = __match_args__ = ("level", "dims", "mult")
     level: int
     dims: tuple[int, int]
     mult: tuple[tuple[int, int], tuple[int, int]] | None
+
+    def __init__(self, level: int, dims: tuple[int, int], mult: tuple[tuple[int, int], tuple[int, int]] | None):
+        object.__setattr__(self, "level", level)
+        object.__setattr__(self, "dims", dims)
+        object.__setattr__(self, "mult", mult)
 
 
 def k_to_invariant(k: KSequence) -> tuple[int, int]:

@@ -22,10 +22,10 @@ entries; ``projection_matches_brute_force`` checks the table a row at a time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
 from operator import itemgetter
 
+from ._value import _Value
 from .errors import CapExceeded, DomainError, _require_type, _show_int
 
 IndexPair = tuple[int, int]
@@ -37,10 +37,10 @@ DefectPair = tuple[int, int]
 _MAX_CELLS = 1 << 20
 
 
-@dataclass(frozen=True)
-class QuotientGroup:
+class QuotientGroup(_Value):
     """The data presenting D = Z^2/(Za + nZ^2) and its closed-form projection."""
 
+    __slots__ = __match_args__ = ("n", "a", "c", "a_prime", "b", "d")
     n: int
     a: IndexPair
     c: int
@@ -48,41 +48,55 @@ class QuotientGroup:
     b: IndexPair
     d: int
 
+    def __init__(self, n: int, a: IndexPair, c: int, a_prime: IndexPair, b: IndexPair, d: int):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "c", c)
+        object.__setattr__(self, "a_prime", a_prime)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "d", d)
+
     @property
     def order(self) -> int:
         return self.d * self.n
 
 
-@dataclass(frozen=True)
-class ExtensionDescriptor:
+class ExtensionDescriptor(_Value):
     """Numerical data of one extension: matrix size n >= 1, index pair other than (0, 0), defect pair."""
 
+    __slots__ = __match_args__ = ("n", "index", "defects")
     n: int
     index: IndexPair
     defects: DefectPair
 
-    def __post_init__(self):
-        index, defects = _int_pair(self.index), _int_pair(self.defects)
-        if index is None or defects is None or type(self.n) is not int:
-            raise DomainError(f"n and the index and defect pairs must be integers, got n={_show_int(self.n)},"
-                              f" index={_show_int(self.index)}, defects={_show_int(self.defects)}")
-        if self.n < 1:
-            raise DomainError(f"matrix size n must be >= 1, got {_show_int(self.n)}")
-        if index == (0, 0):
+    def __init__(self, n: int, index: IndexPair, defects: DefectPair):
+        index_pair, defect_pair = _int_pair(index), _int_pair(defects)
+        if index_pair is None or defect_pair is None or type(n) is not int:
+            raise DomainError(f"n and the index and defect pairs must be integers, got n={_show_int(n)},"
+                              f" index={_show_int(index)}, defects={_show_int(defects)}")
+        if n < 1:
+            raise DomainError(f"matrix size n must be >= 1, got {_show_int(n)}")
+        if index_pair == (0, 0):
             raise DomainError("degenerate index (0, 0)")
-        if defects[0] < 0 or defects[1] < 0:
-            raise DomainError(f"defects must be >= 0, got {_show_int(defects)}")
-        object.__setattr__(self, "index", index)
-        object.__setattr__(self, "defects", defects)
+        if defect_pair[0] < 0 or defect_pair[1] < 0:
+            raise DomainError(f"defects must be >= 0, got {_show_int(defect_pair)}")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "index", index_pair)
+        object.__setattr__(self, "defects", defect_pair)
 
 
-@dataclass(frozen=True)
-class InvariantClass:
+class InvariantClass(_Value):
     """Canonical isomorphism invariant: n, canonical index, canonical defect class."""
 
+    __slots__ = __match_args__ = ("n", "index_orbit", "mbar")
     n: int
     index_orbit: IndexPair
     mbar: tuple[int, int]
+
+    def __init__(self, n: int, index_orbit: IndexPair, mbar: tuple[int, int]):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "index_orbit", index_orbit)
+        object.__setattr__(self, "mbar", mbar)
 
 
 def _bezout_companion(a_prime: IndexPair) -> IndexPair:
@@ -229,18 +243,24 @@ def tensor_factor(e: ExtensionDescriptor, t: int) -> tuple[int, int]:
     return (e.n // t, m // t)
 
 
-@dataclass(frozen=True)
-class BruteForceQuotient:
+class BruteForceQuotient(_Value):
     """Cosets of Za + nZ^2 enumerated directly from the box [0,n)^2.
 
     ``reps`` holds the lexicographically least point of each coset, sorted,
     and ``table[i][j]`` is the index of the coset of ``reps[i] + reps[j]``.
     """
 
+    __slots__ = __match_args__ = ("a", "n", "reps", "table")
     a: IndexPair
     n: int
     reps: tuple[tuple[int, int], ...]
     table: tuple[tuple[int, ...], ...]
+
+    def __init__(self, a: IndexPair, n: int, reps: tuple[tuple[int, int], ...], table: tuple[tuple[int, ...], ...]):
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "reps", reps)
+        object.__setattr__(self, "table", table)
 
     @property
     def order(self) -> int:

@@ -51,10 +51,10 @@ Xeon, CPython 3.11).
 from __future__ import annotations
 
 from bisect import bisect, bisect_left
-from dataclasses import dataclass
 from itertools import accumulate
 from typing import NamedTuple
 
+from ._value import _Value
 from .contfrac import KSequence
 from .errors import CapExceeded, DomainError, _require_type, _show_int
 
@@ -112,12 +112,16 @@ class Edge(_EdgeFields):
 PathWord = tuple[Edge, ...]
 
 
-@dataclass(frozen=True)
-class PathCounts:
+class PathCounts(_Value):
     """Counts of wall-terminated normal-form words, by exact and cumulative length."""
 
+    __slots__ = __match_args__ = ("per_length", "cumulative")
     per_length: tuple[int, ...]
     cumulative: tuple[int, ...]
+
+    def __init__(self, per_length: tuple[int, ...], cumulative: tuple[int, ...]):
+        object.__setattr__(self, "per_length", per_length)
+        object.__setattr__(self, "cumulative", cumulative)
 
 
 def path_counts(k: KSequence) -> PathCounts:

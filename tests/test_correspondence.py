@@ -156,7 +156,6 @@ def test_height_bound_raises_cap_exceeded():
 
 
 _OFF_BY_ONE = """
-import dataclasses
 from fractions import Fraction
 import cfkit.correspondence as c
 
@@ -167,7 +166,7 @@ def off_by_one(k):
     counts = real(k)
     cumulative = list(counts.cumulative)
     cumulative[k.h] += 1
-    return dataclasses.replace(counts, cumulative=tuple(cumulative))
+    return counts._replace(cumulative=tuple(cumulative))
 
 c.path_counts = off_by_one
 try:

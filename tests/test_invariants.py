@@ -1,7 +1,6 @@
 import random
 import time
 import tracemalloc
-from dataclasses import replace
 from itertools import islice, product
 from math import gcd
 
@@ -260,8 +259,8 @@ def test_projection_rejects_a_wrong_companion():
         q = build_quotient(a, n)
         bf = brute_force_quotient(a, n)
         shifted = (q.b[0] + q.a_prime[0], q.b[1] + q.a_prime[1])
-        assert projection_matches_brute_force(replace(q, b=shifted), bf)
-        assert not projection_matches_brute_force(replace(q, b=(0, 0)), bf), (a, n)
+        assert projection_matches_brute_force(q._replace(b=shifted), bf)
+        assert not projection_matches_brute_force(q._replace(b=(0, 0)), bf), (a, n)
 
 
 def test_projection_rejects_swapped_table_entries():
@@ -272,7 +271,7 @@ def test_projection_rejects_swapped_table_entries():
         table = [list(row) for row in bf.table]
         i = bf.order - 1
         table[i][0], table[i][1] = table[i][1], table[i][0]  # distinct: rows are permutations
-        corrupted = replace(bf, table=tuple(map(tuple, table)))
+        corrupted = bf._replace(table=tuple(map(tuple, table)))
         assert not projection_matches_brute_force(build_quotient(a, n), corrupted), (a, n)
 
 
@@ -283,8 +282,8 @@ def test_projection_at_order_one():
         assert (bf.reps, bf.table) == (((0, 0),), ((0,),))
         assert projection_matches_brute_force(build_quotient(a, 1), bf)
     q, bf = build_quotient((1, 0), 1), brute_force_quotient((1, 0), 1)
-    assert not projection_matches_brute_force(q, replace(bf, table=((1,),)))
-    assert not projection_matches_brute_force(q, replace(bf, table=((0, 0),)))
+    assert not projection_matches_brute_force(q, bf._replace(table=((1,),)))
+    assert not projection_matches_brute_force(q, bf._replace(table=((0, 0),)))
 
 
 def test_projection_rejects_one_corrupted_entry():
@@ -295,7 +294,7 @@ def test_projection_rejects_one_corrupted_entry():
         for i, j in [(0, 0), (0, last), (last, 0), (last // 2, last), (last, last)]:
             table = [list(row) for row in bf.table]
             table[i][j] = (table[i][j] + 1) % bf.order
-            corrupted = replace(bf, table=tuple(map(tuple, table)))
+            corrupted = bf._replace(table=tuple(map(tuple, table)))
             assert not projection_matches_brute_force(q, corrupted), (a, n, i, j)
 
 
@@ -338,7 +337,7 @@ def test_projection_rejects_a_quotient_of_another_index():
                 if b == a or (bf.reps, bf.table) == (own.reps, own.table):
                     continue
                 assert not projection_matches_brute_force(q, bf), (a, b, n)
-                passed_otherwise += projection_matches_brute_force(q, replace(bf, a=q.a))
+                passed_otherwise += projection_matches_brute_force(q, bf._replace(a=q.a))
     assert passed_otherwise == 720
     q, bf = build_quotient((2, 2), 2), brute_force_quotient((1, 1), 4)
     assert q.order == bf.order and not projection_matches_brute_force(q, bf)
@@ -349,7 +348,7 @@ def test_projection_rejects_a_wrong_d():
         q = build_quotient(a, n)
         bf = brute_force_quotient(a, n)
         for d in {1, q.d - 1, q.d + 1} - {0, q.d}:
-            assert not projection_matches_brute_force(replace(q, d=d), bf), (a, n, d)
+            assert not projection_matches_brute_force(q._replace(d=d), bf), (a, n, d)
 
 
 def test_is_isomorphic_known_cases():
