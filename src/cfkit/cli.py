@@ -12,6 +12,10 @@ errors (precondition violations, enumerations past the fixed bounds of
 digit bound, repetition groups past the term bound of :mod:`cfkit.literals`,
 and k-sequences above the height bound of :mod:`cfkit.contfrac`), 2 on
 parse errors.
+
+Each subcommand's handler imports what it calls from the module that defines
+it, so a run loads only the modules of its subcommand: ``group``, ``iso`` and
+``tensor`` load :mod:`cfkit.invariants` alone.
 """
 
 from __future__ import annotations
@@ -21,20 +25,7 @@ import json
 import re
 import sys
 
-from .contfrac import KSequence, eval_cf, expand_simple
-from .correspondence import _k_rational, dimension_tower, invariant_to_k, rational_to_invariant
-from .errors import DomainError
-from .invariants import (
-    ExtensionDescriptor,
-    brute_force_quotient,
-    build_quotient,
-    is_isomorphic,
-    project,
-    projection_matches_brute_force,
-    tensor_factor,
-)
-from .literals import ParseError, parse_cf, parse_rational, render_cf
-from .paths import enumerate_paths, path_counts
+from .errors import DomainError, ParseError
 
 # Digits allowed in one integer literal.  int/str conversion is quadratic in
 # the digit count: `invariant` on two 100 000-digit literals takes about 1.5 s,
@@ -53,7 +44,9 @@ def _ints_csv(text: str, *, count: int | None = None, what: str = "integer list"
     return values
 
 
-def _descriptor(text: str) -> ExtensionDescriptor:
+def _descriptor(text: str):
+    from .invariants import ExtensionDescriptor
+
     n, a_plus, a_minus, k_plus, k_minus = _ints_csv(text, count=5, what="descriptor")
     return ExtensionDescriptor(n=n, index=(a_plus, a_minus), defects=(k_plus, k_minus))
 
@@ -92,11 +85,17 @@ def _emit(fmt: str, record: dict) -> None:
 
 
 def cmd_eval(args) -> dict:
+    from .contfrac import eval_cf
+    from .literals import parse_cf, render_cf
+
     cf = parse_cf(args.cf)
     return {"inputs": {"cf": render_cf(cf)}, "outputs": {"value": eval_cf(cf)}}
 
 
 def cmd_invariant(args) -> dict:
+    from .correspondence import rational_to_invariant
+    from .literals import parse_rational
+
     inv = rational_to_invariant(parse_rational(args.r))
     return {
         "inputs": {"r": inv.theta},
@@ -105,12 +104,17 @@ def cmd_invariant(args) -> dict:
 
 
 def cmd_rational(args) -> dict:
+    from .correspondence import _k_rational, invariant_to_k
+
     k = invariant_to_k(args.n, args.m)
     theta = _k_rational(k, args.n)
     return {"inputs": {"n": args.n, "m": args.m}, "outputs": {"theta": theta, "k": k.entries}}
 
 
 def cmd_oracle(args) -> dict:
+    from .contfrac import KSequence
+    from .paths import enumerate_paths, path_counts
+
     k = KSequence(tuple(_ints_csv(args.k, what="k-sequence")))
     # Longest first, and counted in full only after, so an over-bound request fails at once.
     # A length f >= 1 with k_f = 0 has no wall to end on, so its count stays 0 unbuilt.
@@ -134,6 +138,8 @@ def cmd_oracle(args) -> dict:
 
 
 def cmd_group(args) -> dict:
+    from .invariants import brute_force_quotient, build_quotient, project, projection_matches_brute_force
+
     q = build_quotient(tuple(_ints_csv(args.a, count=2, what="index pair")), args.n)
     bf = brute_force_quotient(q.a, q.n)
     return {
@@ -149,6 +155,8 @@ def cmd_group(args) -> dict:
 
 
 def cmd_iso(args) -> dict:
+    from .invariants import is_isomorphic
+
     e = _descriptor(args.e)
     f = _descriptor(args.f)
     return {
@@ -161,12 +169,18 @@ def cmd_iso(args) -> dict:
 
 
 def cmd_tensor(args) -> dict:
+    from .invariants import ExtensionDescriptor, tensor_factor
+
     e = ExtensionDescriptor(n=args.n, index=(-1, 1), defects=(args.m, 0))
     p, l = tensor_factor(e, args.t)
     return {"inputs": {"n": args.n, "m": args.m, "t": args.t}, "outputs": {"p": p, "l": l}}
 
 
 def cmd_tower(args) -> dict:
+    from .contfrac import expand_simple
+    from .correspondence import dimension_tower
+    from .literals import parse_rational, render_cf
+
     r = parse_rational(args.r)
     cf = expand_simple(r, args.parity)
     depth = args.depth if args.depth is not None else len(cf.terms)

@@ -15,14 +15,13 @@ coordinate on [0,1) is the input to the path-counting machinery in
 
 from __future__ import annotations
 
+# Annotations stay unevaluated strings, so ``Literal`` below needs no ``typing`` import.
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
-from typing import Iterable, Literal, Sequence
 
 from ._value import _Value
 from .errors import CapExceeded, DomainError, _require_type, _show_int
 from .exact import ExtendedRational, _fraction, add, as_extended, reciprocal
-
-Parity = Literal["even", "odd"]
 
 # Dense k-sequences are built only up to this height h; the entries of 1/q
 # alone number q - 1.
@@ -125,7 +124,7 @@ def eval_cf(cf: ContinuedFraction) -> ExtendedRational:
     return eval_terms([cf.a0, *cf.terms])
 
 
-def expand_simple(r, parity: Parity) -> ContinuedFraction:
+def expand_simple(r, parity: Literal["even", "odd"]) -> ContinuedFraction:
     """The simple continued fraction of ``r`` in [0,1) with the given parity.
 
     Each rational in (0,1) has exactly two simple expansions with a0 = 0,
@@ -143,7 +142,7 @@ def expand_simple(r, parity: Parity) -> ContinuedFraction:
     return ContinuedFraction(0, tuple(_simple_terms(num, den, parity)))
 
 
-def _simple_terms(num: int, den: int, parity: Parity) -> list[int]:
+def _simple_terms(num: int, den: int, parity: Literal["even", "odd"]) -> list[int]:
     """Terms of ``num/den`` in [0,1) by Euclid, then the parity fix; none (even) for 0."""
     terms = []
     while num:

@@ -11,6 +11,14 @@ class CapExceeded(DomainError):
     """A requested enumeration is larger than a fixed bound."""
 
 
+class ParseError(ValueError):
+    """A malformed literal, with the offending position (0-based)."""
+
+    def __init__(self, message: str, position: int):
+        super().__init__(f"{message} (at position {position})")
+        self.position = position
+
+
 def _require_type(value, cls: type, where: str) -> None:
     """Raise :class:`DomainError` naming ``where`` and the type of ``value`` unless it is a ``cls``."""
     if not isinstance(value, cls):

@@ -21,15 +21,7 @@ import sys
 from fractions import Fraction
 
 from .contfrac import ContinuedFraction
-from .errors import CapExceeded, _show_int
-
-
-class ParseError(ValueError):
-    """A malformed literal, with the offending position (0-based)."""
-
-    def __init__(self, message: str, position: int):
-        super().__init__(f"{message} (at position {position})")
-        self.position = position
+from .errors import CapExceeded, ParseError, _show_int
 
 
 # Terms a literal may expand to.  A group multiplies its body before anything

@@ -51,8 +51,8 @@ Xeon, CPython 3.11).
 from __future__ import annotations
 
 from bisect import bisect, bisect_left
+from collections import namedtuple
 from itertools import accumulate
-from typing import NamedTuple
 
 from ._value import _Value
 from .contfrac import KSequence
@@ -68,10 +68,7 @@ _snapshot: tuple = (None, (None,))
 _KINDS = ("alpha", "beta", "gamma")
 
 
-class _EdgeFields(NamedTuple):
-    kind: str
-    level: int
-    wall: int | None = None
+_EdgeFields = namedtuple("_EdgeFields", ("kind", "level", "wall"), defaults=(None,))
 
 
 class Edge(_EdgeFields):

@@ -19,8 +19,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import cfkit.cli
 import cfkit.correspondence
+import cfkit.paths
 from cfkit.cli import main
 from cfkit.paths import enumerate_paths
 from test_cli_corpus import replay
@@ -95,7 +95,6 @@ def test_rational_builds_the_k_sequence_once(capsys, monkeypatch):
         return real(n, m)
 
     monkeypatch.setattr(cfkit.correspondence, "invariant_to_k", counted)
-    monkeypatch.setattr(cfkit.cli, "invariant_to_k", counted)
     assert run(capsys, "rational", "--n", "5", "--m", "2") == (0, "theta = 2/5\nk = [0,2]\n", "")
     assert calls == [(5, 2)]
 
@@ -128,7 +127,7 @@ def test_oracle_refuses_before_building_shorter_lengths(capsys, monkeypatch):
         lengths.append(length)
         return enumerate_paths(k, length)
 
-    monkeypatch.setattr(cfkit.cli, "enumerate_paths", counted)
+    monkeypatch.setattr(cfkit.paths, "enumerate_paths", counted)
     code, out, err = run(capsys, "oracle", "--k", "965,890,143,536,536")
     assert code == 1 and out == "" and "1000000 words of length <= 5" in err
     assert lengths == [5]
@@ -165,7 +164,7 @@ def test_oracle_builds_only_lengths_that_end_on_a_wall(capsys, monkeypatch):
         lengths.append(length)
         return enumerate_paths(k, length)
 
-    monkeypatch.setattr(cfkit.cli, "enumerate_paths", counted)
+    monkeypatch.setattr(cfkit.paths, "enumerate_paths", counted)
     entries = ["0"] * 40 + ["2"] + ["0"] * 18 + ["1"]
     code, out, err = run(capsys, "oracle", "--k", ",".join(entries), "--format", "json")
     outputs = json.loads(out)["outputs"]

@@ -41,12 +41,79 @@ def test_public_functions_and_classes_are_exported(module):
     assert public and set(public) <= set(cfkit.__all__), set(public) - set(cfkit.__all__)
 
 
-def test_cli_starts_without_dataclasses_or_inspect():
+def fresh(*args: str) -> subprocess.CompletedProcess:
+    """``python *args`` in a fresh interpreter that imports cfkit from this checkout."""
     env = dict(os.environ, PYTHONPATH=str(Path(cfkit.__file__).parents[1]))
-    code = "import sys, cfkit.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    proc = subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "[]\n"
+    return proc
+
+
+def test_cli_runs_without_typing_dataclasses_or_inspect():
+    # -S: no site module, whose .pth files may import typing before cfkit does
+    code = ("import sys, cfkit.cli; cfkit.cli.main(['invariant', '2/5']);"
+            " print(sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))")
+    assert fresh("-S", "-c", code).stdout == "n = 5\nm = 2\nk = [0,2]\ntheta = 2/5\n[]\n"
+
+
+def test_import_loads_no_submodule_until_a_name_is_used():
+    code = """if True:
+        import sys, cfkit
+        def loaded():
+            return sorted(m[6:] for m in sys.modules if m.startswith("cfkit."))
+        print(loaded())
+        cfkit.KSequence
+        print(loaded(), "k_value" in vars(cfkit), "path_counts" in vars(cfkit))
+        cfkit.paths
+        print(loaded(), "path_counts" in vars(cfkit))
+        from cfkit import *
+        print(loaded())
+    """
+    assert fresh("-c", code).stdout.splitlines() == [
+        "[]",
+        "['_value', 'contfrac', 'errors', 'exact'] True False",
+        "['_value', 'contfrac', 'errors', 'exact', 'paths'] True",
+        "['_value', 'contfrac', 'correspondence', 'errors', 'exact', 'invariants', 'literals', 'paths']",
+    ]
+
+
+# The cfkit modules each subcommand loads besides the package and cfkit.errors, as the README lists them.
+_FORWARD = {"_value", "exact", "contfrac", "paths", "correspondence"}
+SUBCOMMAND_MODULES = [
+    (["eval", "[0;2,2]"], {"_value", "exact", "contfrac", "literals"}),
+    (["invariant", "2/5"], _FORWARD | {"literals"}),
+    (["rational", "--n", "5", "--m", "2"], _FORWARD),
+    (["oracle", "--k", "1,1"], {"_value", "exact", "contfrac", "paths"}),
+    (["group", "--a", "-1,1", "--n", "5"], {"_value", "invariants"}),
+    (["iso", "--e", "5,-1,1,0,2", "--f", "5,1,-1,2,0"], {"_value", "invariants"}),
+    (["tensor", "--n", "6", "--m", "14", "--t", "2"], {"_value", "invariants"}),
+    (["tower", "2/5"], _FORWARD | {"literals"}),
+]
+
+
+@pytest.mark.parametrize("argv, modules", SUBCOMMAND_MODULES, ids=[argv[0] for argv, _ in SUBCOMMAND_MODULES])
+def test_each_subcommand_loads_only_its_modules(argv, modules):
+    # -X importtime logs each module a fresh interpreter imports, one "import time:" line per module
+    log = fresh("-X", "importtime", "-m", "cfkit.cli", *argv).stderr.splitlines()
+    imported = {line.rsplit("|", 1)[1].strip() for line in log if line.startswith("import time:")}
+    assert {m for m in imported if m.split(".")[0] == "cfkit"} == {"cfkit", "cfkit.errors"} | {
+        f"cfkit.{m}" for m in modules}
+
+
+def test_namespace_contract():
+    assert set(cfkit._MODULE_OF) == set(cfkit.__all__)
+    for module, names in cfkit._EXPORTS.items():
+        defining = sys.modules[f"cfkit.{module}"]
+        for name in names:
+            assert getattr(cfkit, name) is getattr(defining, name), name
+            assert getattr(defining, name).__module__ == defining.__name__, name
+    assert set(cfkit.__all__) <= set(dir(cfkit))
+    namespace = {}
+    exec("from cfkit import *", namespace)
+    assert set(cfkit.__all__) <= set(namespace)
+    with pytest.raises(AttributeError, match="has no attribute 'nope'"):
+        cfkit.nope
+    assert cfkit.ParseError is literals.ParseError is errors.ParseError
 
 
 # One valid instance of each value class: the class, its field names in order, the field values.

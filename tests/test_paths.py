@@ -346,13 +346,16 @@ def test_cap_is_enforced(monkeypatch):
         enumerate_paths(KSequence((2, 2, 2)), 3)
 
 
-def test_word_bound_is_checked_before_counting_in_full():
+def test_word_bound_is_checked_before_counting_in_full(monkeypatch):
     # counted in full, 50 000 ones give counts of about 70 000 bits; the check stops near 2^20
+    built = counted_edges(monkeypatch)
     k = KSequence((1,) * 50_000)
     start = time.perf_counter()
     assert len(enumerate_paths(k, 1)) == 1
+    assert built == [("alpha", 1), ("beta", 1), ("gamma", 1, 1)]  # level 1 only
     with pytest.raises(CapExceeded):
         enumerate_paths(k, k.h)
+    assert len(built) == 3  # the refusal builds no edge
     assert time.perf_counter() - start < 0.25
 
 
