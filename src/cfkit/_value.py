@@ -2,13 +2,15 @@
 
 A value class names its fields once, as ``__slots__ = __match_args__ =
 (...)``, and sets each slot once in its own ``__init__`` through
-``object.__setattr__``, after its checks.  The base supplies what a frozen
-dataclass would generate: ``repr`` in the dataclass format, ``==`` between
-instances of one class and ``hash``, both over the field tuple, refusal of
-assignment and deletion, pickling and copying through ``__init__``, and
-``_replace``.  Unlike the dataclass decorator, it imports nothing and
-generates no code when a class is defined, which keeps ``import cfkit`` (and
-so each ``cfkit`` command) from paying for ``inspect``, ``ast`` and ``dis``.
+``object.__setattr__``, after its checks; only ``contfrac._k_sequence`` sets
+a ``KSequence`` slot itself, from entries it built from checked terms.  The
+base supplies what a frozen dataclass would generate: ``repr`` in the
+dataclass format, ``==`` between instances of one class and ``hash``, both
+over the field tuple, refusal of assignment and deletion, pickling and
+copying through ``__init__``, and ``_replace``.  Unlike the dataclass
+decorator, it imports nothing and generates no code when a class is
+defined, which keeps ``import cfkit`` (and so each ``cfkit`` command) from
+paying for ``inspect``, ``ast`` and ``dis``.
 """
 
 from __future__ import annotations

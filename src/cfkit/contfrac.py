@@ -146,8 +146,10 @@ def _simple_terms(num: int, den: int, parity: Literal["even", "odd"]) -> list[in
     """Terms of ``num/den`` in [0,1) by Euclid, then the parity fix; none (even) for 0."""
     terms = []
     while num:
-        terms.append(den // num)
-        den, num = num, den % num
+        # One big-int division a step: den - q * num is den % num, and costs a multiply.
+        q = den // num
+        terms.append(q)
+        den, num = num, den - q * num
     # Euclid always ends with a term >= 2 for num/den in (0,1).
     if terms and terms[-1] < 2:
         raise AssertionError(f"Euclid expansion ended in {terms[-1]}")
@@ -202,7 +204,18 @@ def simple_to_k(cf: ContinuedFraction) -> KSequence:
     _require_zero_head_simple(cf, "simple_to_k")
     if len(cf.terms) % 2 != 0:
         raise DomainError(f"simple_to_k requires an even number of terms, got {len(cf.terms)}")
-    return KSequence(_k_entries(cf.terms))
+    return _k_sequence(cf.terms)
+
+
+def _k_sequence(terms: Sequence[int]) -> KSequence:
+    """The k-sequence of an even-length list of simple terms, checked already (all >= 1).
+
+    Its entries are exact ints >= 0 ending in a nonzero one, so they skip the
+    check of ``KSequence.__init__``, which takes an interpreted step per entry.
+    """
+    k = object.__new__(KSequence)
+    object.__setattr__(k, "entries", _k_entries(terms))
+    return k
 
 
 def _k_entries(terms: Sequence[int]) -> tuple[int, ...]:
@@ -210,10 +223,11 @@ def _k_entries(terms: Sequence[int]) -> tuple[int, ...]:
     h = sum(terms[::2])
     if h > _MAX_HEIGHT:
         raise CapExceeded(f"k-sequence height h = {_show_int(h)} exceeds the bound {_MAX_HEIGHT} on dense entries")
-    entries: list[int] = []
+    entries = [0] * h
+    i = -1
     for gap, value in zip(terms[::2], terms[1::2]):
-        entries += [0] * (gap - 1)
-        entries.append(value)
+        i += gap
+        entries[i] = value
     return tuple(entries)
 
 

@@ -28,7 +28,7 @@ from ._value import _Value
 from .contfrac import (
     ContinuedFraction,
     KSequence,
-    _k_entries,
+    _k_sequence,
     _simple_terms,
     convergents,
     k_value,
@@ -79,7 +79,7 @@ def k_to_invariant(k: KSequence) -> tuple[int, int]:
     _require_type(k, KSequence, "k_to_invariant")
     counts = path_counts(k)
     n = counts.cumulative[k.h]
-    m = sum(counts.cumulative[: k.h])
+    m = sum(counts.cumulative) - n  # the sum of cumulative[:h], with no copy of it
     return n, m
 
 
@@ -89,7 +89,7 @@ def rational_to_invariant(r) -> RationalInvariant:
     num, den = theta.numerator, theta.denominator
     if not 0 <= num < den:
         raise DomainError(f"rational_to_invariant requires 0 <= r < 1, got {_show_int(theta)}")
-    k = KSequence(_k_entries(_simple_terms(num, den, "even")))
+    k = _k_sequence(_simple_terms(num, den, "even"))
     n, m = k_to_invariant(k)
     if n != den:
         raise AssertionError(f"forward map gave n={_show_int(n)} for {_show_int(theta)}")
@@ -115,7 +115,7 @@ def invariant_to_k(n: int, m: int) -> KSequence:
     if gcd(m, n) != 1:
         raise DomainError(f"gcd(m, n) must be 1, got gcd{_show_int((m, n))} = {_show_int(gcd(m, n))}")
 
-    return KSequence(_k_entries(_simple_terms(-pow(m, -1, n) % n, n, "even")))
+    return _k_sequence(_simple_terms(-pow(m, -1, n) % n, n, "even"))
 
 
 def invariant_to_rational(n: int, m: int) -> Fraction:

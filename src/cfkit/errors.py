@@ -1,6 +1,6 @@
 """Exception types shared across the package."""
 
-from fractions import Fraction
+import sys
 
 
 class DomainError(ValueError):
@@ -35,13 +35,15 @@ def _show_int(value) -> str:
     shown the same way.  A message must not convert a long integer to decimal: the
     conversion is quadratic in the digit count and, past the interpreter's
     int/str digit limit, raises a bare ``ValueError`` in place of the
-    intended error.
+    intended error.  ``fractions`` is not imported here: no ``Fraction`` exists
+    before that module is loaded, so a caller that never loads it pays nothing.
     """
     if isinstance(value, tuple):
         return "(" + ", ".join(map(_show_int, value)) + ("," if len(value) == 1 else "") + ")"
     if isinstance(value, list):
         return "[" + ", ".join(map(_show_int, value)) + "]"
-    if isinstance(value, Fraction):
+    fractions = sys.modules.get("fractions")
+    if fractions is not None and isinstance(value, fractions.Fraction):
         shown = _show_int(value.numerator)
         return shown if value.denominator == 1 else f"{shown}/{_show_int(value.denominator)}"
     if not isinstance(value, int) or abs(value) < _SHOWN_BOUND:

@@ -16,21 +16,31 @@ length exactly f and ``cumulative[f]`` those of length at most f.  Both are
     per_length[f] = k_f * sum((f - l) * per_length[l] for l < f)
     cumulative[f] = sum(per_length[:f + 1])
 
-The weighted sum equals sum(cumulative[:f]), so :func:`path_counts` makes one
-linear pass over that running total T, which is 1 before f = 1:
+The weighted sum equals sum(cumulative[:f]), so the counts follow from the
+running total T, which is 1 before f = 1:
 
     per_length[f] = k_f * T
     cumulative[f] = cumulative[f - 1] + per_length[f]
     T += cumulative[f]
 
-``test_counts_match_quadratic_definitions`` in ``tests/test_paths.py`` checks
-the pass against the quadratic sums.  The enumeration is the independent
-oracle for these counts and for the defect count used by
+A zero entry adds no words: it repeats per_length 0 and cumulative c and
+adds c to T.  So :func:`path_counts` takes one interpreted step per nonzero
+entry, found at C speed by ``itertools.compress``, and handles the run of g
+zeros before it in one step, the matrix ``[[1, 0], [g, 1]]`` on (c, T):
+
+    per_length += [0] * g;  cumulative += [c] * g;  T += g * c
+
+Its interpreted work grows with the support, not with h; the zeros cost only
+list and tuple copies.  The k-sequence of 1/q has q - 1 entries, one of them
+nonzero.  ``tests/test_paths.py`` checks the counts against the quadratic
+sums and against the one-step-per-entry pass.  The enumeration is the
+independent oracle for these counts and for the defect count used by
 :mod:`cfkit.correspondence`.  It builds at most ``_MAX_WORDS`` words of at
-most the requested length, checked by the same pass stopped once it passes
-that bound, so a long sequence is never counted at full precision.  The
+most the requested length, checked by the same recurrence run one step per
+entry up to that length and stopped once it passes that bound, so a long
+sequence is never counted at full precision.  The
 words of one length may hold at most ``_MAX_EDGES`` edges in all, checked
-from that pass's last count, so a long chain whose word count is small is
+from that run's last count, so a long chain whose word count is small is
 still refused before anything is built.
 
 A word is a tuple of :class:`Edge` values, each an immutable tuple
@@ -52,7 +62,7 @@ from __future__ import annotations
 
 from bisect import bisect, bisect_left
 from collections import namedtuple
-from itertools import accumulate
+from itertools import accumulate, compress
 
 from ._value import _Value
 from .contfrac import KSequence
@@ -124,13 +134,21 @@ class PathCounts(_Value):
 def path_counts(k: KSequence) -> PathCounts:
     """Counting sequences through the support height h; both stay flat past it."""
     _require_type(k, KSequence, "path_counts")
+    entries = k.entries
     per = [1]
     cum = [1]
-    total = 1  # sum(cum)
-    for entry in k.entries:
-        per.append(entry * total)
-        cum.append(cum[-1] + per[-1])
-        total += cum[-1]
+    c = total = 1  # cum[-1] and sum(cum)
+    f = 0  # entries[:f] are counted
+    for i in compress(range(len(entries)), entries):
+        if i != f:  # the run of zeros entries[f:i]
+            g = i - f
+            per += [0] * g
+            cum += [c] * g
+            total += g * c
+        per.append(p := entries[i] * total)
+        cum.append(c := c + p)
+        total += c
+        f = i + 1
     return PathCounts(tuple(per), tuple(cum))
 
 
@@ -162,7 +180,7 @@ def enumerate_paths(k: KSequence, length: int) -> list[PathWord]:
     _require_type(k, KSequence, "enumerate_paths")
     if type(length) is not int or length < 0:
         raise DomainError(f"length must be an integer >= 0, got {_show_int(length)}")
-    # The pass of path_counts through min(length, h), stopped once the count passes the bound.
+    # The recurrence of path_counts through min(length, h), stopped once the count passes the bound.
     per = cum = total = 1
     for entry in k.entries[:length]:
         per = entry * total

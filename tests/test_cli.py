@@ -108,6 +108,16 @@ def test_height_bound_exits_1(command):
     replay(f"{command}.height-bound")
 
 
+def test_invariant_at_the_height_bound_within_budget(capsys):
+    # the forward map takes about a quarter of this; rendering the 10**6 entries of k takes the rest
+    start = time.perf_counter()
+    code, out, err = run(capsys, "invariant", "1/1000001", "--format", "json")
+    elapsed = time.perf_counter() - start
+    outputs = json.loads(out)["outputs"]
+    assert (code, err, outputs["n"], outputs["m"], len(outputs["k"])) == (0, "", "1000001", "1000000", 10**6)
+    assert elapsed < 1
+
+
 def test_oracle_command():
     replay("oracle.readme")
 

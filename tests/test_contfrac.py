@@ -1,14 +1,18 @@
+import random
 from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cfkit import contfrac
 from cfkit.contfrac import (
     ContinuedFraction,
     KSequence,
+    _k_entries,
+    _k_sequence,
+    _simple_terms,
     convergents,
     eval_cf,
     eval_terms,
@@ -205,6 +209,86 @@ def test_k_to_simple_inverts_simple_to_k(pairs):
     terms = tuple(t for pair in pairs for t in pair)
     cf = ContinuedFraction(0, terms)
     assert k_to_simple(simple_to_k(cf)) == cf
+
+
+# --- the integer expansion behind both bijection directions ----------------
+
+
+def simple_terms_two_divisions(num, den, parity):
+    """The oracle Euclid: a floor division and a remainder per step, then the parity fix."""
+    terms = []
+    while num:
+        terms.append(den // num)
+        den, num = num, den % num
+    if (len(terms) % 2 == 0) != (parity == "even"):
+        terms[-1] -= 1
+        terms.append(1)
+    return terms
+
+
+def k_entries_appended(terms):
+    """The oracle dense entries: gap - 1 zeros, then the value, appended pair by pair."""
+    entries = []
+    for gap, value in zip(terms[::2], terms[1::2]):
+        entries += [0] * (gap - 1)
+        entries.append(value)
+    return tuple(entries)
+
+
+def check_expansions(num, den):
+    for parity in ("even", "odd") if num else ("even",):
+        terms = _simple_terms(num, den, parity)
+        assert terms == simple_terms_two_divisions(num, den, parity)
+        if parity == "even" and sum(terms[::2]) <= 10**5:  # h, the length of the dense entries
+            assert _k_entries(terms) == k_entries_appended(terms)
+            assert _k_sequence(terms) == KSequence(k_entries_appended(terms))
+
+
+@settings(deadline=None)
+@given(st.integers(1, 4096).flatmap(lambda bits: st.integers(2, 2**bits + 1)).flatmap(
+    lambda den: st.tuples(st.integers(0, den - 1), st.just(den))))
+def test_euclid_matches_two_divisions_on_random_fractions(pair):
+    # up to 4096-bit denominators; not reduced, since Euclid needs no coprimality
+    check_expansions(*pair)
+
+
+def test_euclid_matches_two_divisions_on_seeded_full_size_fractions():
+    rng = random.Random(4096)
+    for bits in (64, 512, 4096) * 4:
+        den = rng.getrandbits(bits) | 1 << (bits - 1)
+        check_expansions(rng.randrange(den), den)
+
+
+@settings(deadline=None)
+@given(st.integers(2, 3000))
+def test_euclid_matches_two_divisions_on_fibonacci_ratios(n):
+    # F_n / F_{n+1} = [0; 1, ..., 1, 2]: the longest expansion for its size
+    a, b = 0, 1
+    for _ in range(n):
+        a, b = b, a + b
+    check_expansions(a, b)
+
+
+@settings(deadline=None)
+@given(st.integers(2, 10**4), st.integers(1, 3))
+def test_euclid_matches_two_divisions_on_long_zero_runs(q, p):
+    # 1/q and its neighbours: one or two huge terms, so long runs of zero entries
+    check_expansions(p % q, q)
+
+
+@settings(deadline=None)
+@given(st.lists(st.integers(1, 2**100), max_size=40), st.integers(2, 2**100))
+def test_euclid_matches_two_divisions_on_big_terms(terms, last):
+    # [0; *terms, last] is p/q in (0, 1) whose expansion has these huge quotients
+    check_expansions(*convergents(ContinuedFraction(0, (*terms, last)))[-1])
+
+
+@given(st.lists(st.tuples(st.integers(1, 500), st.integers(1, 2**80)), max_size=12))
+def test_k_entries_match_the_appended_construction(pairs):
+    terms = [t for pair in pairs for t in pair]
+    assert _k_entries(terms) == k_entries_appended(terms)
+    assert _k_entries(tuple(terms)) == k_entries_appended(terms)
+    assert _k_sequence(terms) == KSequence(k_entries_appended(terms))
 
 
 def test_k_value_examples():

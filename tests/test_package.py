@@ -56,6 +56,21 @@ def test_cli_runs_without_typing_dataclasses_or_inspect():
     assert fresh("-S", "-c", code).stdout == "n = 5\nm = 2\nk = [0,2]\ntheta = 2/5\n[]\n"
 
 
+def test_invariants_subcommands_run_without_fractions():
+    # group, iso and tensor use no Fraction, so neither they nor an error message load fractions
+    code = """if True:
+        import sys, cfkit.cli
+        cfkit.cli.main(["group", "--a", "-1,1", "--n", "5"])
+        cfkit.cli.main(["iso", "--e", "5,-1,1,0,2", "--f", "5,1,-1,2,0"])
+        cfkit.cli.main(["tensor", "--n", "6", "--m", "14", "--t", "2"])
+        print(cfkit.cli.main(["group", "--a", "1,1", "--n", str(-10**120)]))
+        print(sorted({"decimal", "fractions", "numbers"} & set(sys.modules)))
+    """
+    proc = fresh("-S", "-c", code)
+    assert proc.stdout.splitlines()[-2:] == ["1", "[]"]
+    assert proc.stderr == "error: n must be >= 1, got -<399-bit integer>\n"
+
+
 def test_import_loads_no_submodule_until_a_name_is_used():
     code = """if True:
         import sys, cfkit

@@ -9,12 +9,15 @@ from itertools import product
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cfkit import paths
-from cfkit.contfrac import KSequence
+from cfkit.contfrac import KSequence, _k_entries, _simple_terms
 from cfkit.errors import CapExceeded, DomainError
 from cfkit.paths import (
     Edge,
+    PathCounts,
     PathWord,
     defect_by_enumeration,
     enumerate_paths,
@@ -118,6 +121,68 @@ def test_counts_match_quadratic_definitions():
             assert weighted == sum(cum[f - p - 1] for p in range(f))
             assert per[f] == k.at(f) * weighted
             assert cum[f] == sum(per[: f + 1])
+
+
+def path_counts_per_entry(k: KSequence) -> PathCounts:
+    """The oracle pass for path_counts: one step per entry, zeros included."""
+    per = [1]
+    cum = [1]
+    total = 1  # sum(cum)
+    for entry in k.entries:
+        per.append(entry * total)
+        cum.append(cum[-1] + per[-1])
+        total += cum[-1]
+    return PathCounts(tuple(per), tuple(cum))
+
+
+def from_runs(runs) -> KSequence:
+    """The k-sequence with ``g`` zeros before each ``value`` of the (g, value) pairs."""
+    return KSequence([e for g, value in runs for e in (*(0,) * g, value)])
+
+
+def forward_k(p: int, q: int) -> KSequence:
+    return KSequence(_k_entries(_simple_terms(p, q, "even")))
+
+
+@settings(deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 3000), st.integers(1, 3)), max_size=8))
+def test_counts_match_the_per_entry_pass_on_long_zero_runs(runs):
+    # leading zeros when the first run is nonempty; the empty list is the zero sequence
+    k = from_runs(runs)
+    assert path_counts(k) == path_counts_per_entry(k)
+
+
+@settings(deadline=None)
+@given(st.integers(2, 10**4))
+def test_counts_match_the_per_entry_pass_on_unit_fractions(q):
+    # 1/q has q - 2 zeros and a final 1, so n = q and m = q - 1
+    k = forward_k(1, q)
+    assert k.entries == (0,) * (q - 2) + (1,)
+    counts = path_counts(k)
+    assert counts == path_counts_per_entry(k)
+    assert (counts.cumulative[-1], sum(counts.cumulative[:-1])) == (q, q - 1)
+
+
+@settings(deadline=None)
+@given(st.one_of(
+    st.integers(1, 2000).map(lambda h: KSequence((1,) * h)),
+    st.lists(st.integers(1, 2**200), min_size=1, max_size=60).map(KSequence),
+    st.lists(st.tuples(st.integers(0, 5), st.integers(1, 2**64)), max_size=40).map(from_runs),
+))
+def test_counts_match_the_per_entry_pass_on_dense_and_big_entries(k):
+    assert path_counts(k) == path_counts_per_entry(k)
+
+
+def test_counts_match_the_per_entry_pass_on_forward_k_sequences():
+    fib = [0, 1]
+    while len(fib) < 1502:
+        fib.append(fib[-1] + fib[-2])
+    rng = random.Random(25)
+    cases = [(fib[n], fib[n + 1]) for n in (3, 4, 99, 100, 1499, 1500)]
+    cases += [(rng.getrandbits(bits), 1 << bits) for bits in (64, 511, 512, 4096)]
+    for p, q in cases:
+        k = forward_k(p, q)
+        assert path_counts(k) == path_counts_per_entry(k)
 
 
 def test_counts_per_length_examples():
