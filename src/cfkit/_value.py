@@ -1,19 +1,28 @@
 """The base of cfkit's immutable value classes.
 
 A value class names its fields once, as ``__slots__ = __match_args__ =
-(...)``, and sets each slot once in its own ``__init__`` through
-``object.__setattr__``, after its checks; only ``contfrac._k_sequence`` sets
-a ``KSequence`` slot itself, from entries it built from checked terms.  The
-base supplies what a frozen dataclass would generate: ``repr`` in the
-dataclass format, ``==`` between instances of one class and ``hash``, both
-over the field tuple, refusal of assignment and deletion, pickling and
-copying through ``__init__``, and ``_replace``.  Unlike the dataclass
-decorator, it imports nothing and generates no code when a class is
-defined, which keeps ``import cfkit`` (and so each ``cfkit`` command) from
-paying for ``inspect``, ``ast`` and ``dis``.
+(...)``, and sets each slot once in its own ``__init__``, after its checks,
+through ``object.__setattr__``.  What the forward and reverse maps build on
+every call (``PathCounts``, ``RationalInvariant`` and the unchecked
+``KSequence`` of ``contfrac._k_sequence``, the one place that sets a slot
+outside ``__init__``, from entries it built from checked terms) is set
+through the slots' member descriptors instead, as :func:`_slot_setters`
+returns them: their ``__set__`` skips the refusing ``__setattr__`` below and
+the by-name lookup, at about half the cost.  The base supplies what a frozen
+dataclass would generate: ``repr`` in the dataclass format, ``==`` between
+instances of one class and ``hash``, both over the field tuple, refusal of
+assignment and deletion, pickling and copying through ``__init__``, and
+``_replace``.  Unlike the dataclass decorator, it imports nothing and
+generates no code when a class is defined, which keeps ``import cfkit`` (and
+so each ``cfkit`` command) from paying for ``inspect``, ``ast`` and ``dis``.
 """
 
 from __future__ import annotations
+
+
+def _slot_setters(cls: type) -> tuple:
+    """The ``__set__`` of each field's member descriptor, in ``__match_args__`` order."""
+    return tuple(getattr(cls, name).__set__ for name in cls.__match_args__)
 
 
 class _Value:

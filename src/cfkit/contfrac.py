@@ -19,7 +19,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
 
-from ._value import _Value
+from ._value import _slot_setters, _Value
 from .errors import CapExceeded, DomainError, _require_type, _show_int
 from .exact import ExtendedRational, _fraction, add, as_extended, reciprocal
 
@@ -101,6 +101,10 @@ class KSequence(_Value):
 
     def __str__(self) -> str:
         return "(" + ",".join(map(_show_int, self.entries)) + ")"
+
+
+_new = object.__new__
+(_set_entries,) = _slot_setters(KSequence)
 
 
 def eval_terms(values: Iterable) -> ExtendedRational:
@@ -213,8 +217,8 @@ def _k_sequence(terms: Sequence[int]) -> KSequence:
     Its entries are exact ints >= 0 ending in a nonzero one, so they skip the
     check of ``KSequence.__init__``, which takes an interpreted step per entry.
     """
-    k = object.__new__(KSequence)
-    object.__setattr__(k, "entries", _k_entries(terms))
+    k = _new(KSequence)
+    _set_entries(k, _k_entries(terms))
     return k
 
 
@@ -238,16 +242,19 @@ def k_value(k: KSequence) -> Fraction:
     independently of :func:`k_to_simple`, so the two routes cross-check.
     """
     _require_type(k, KSequence, "k_value")
-    if k.h == 0:
+    entries = k.entries
+    if not entries:
         return Fraction(0)
-    terms = [1] * (2 * k.h + 1)
+    terms = [1] * (2 * len(entries) + 1)
     terms[0] = 0
-    terms[2::2] = k.entries
+    terms[2::2] = entries
     v = eval_terms(terms)
-    if not (v.is_finite and 0 <= (value := v.value) < 1):
-        shown = _show_int(value) if v.is_finite else v
+    # The fold's stored pair: reduced with den > 0 when finite, den == 0 for inf and undefined.
+    num, den = v._num, v._den
+    if not 0 <= num < den:
+        shown = _show_int(Fraction(num, den)) if den else v
         raise AssertionError(f"k_value of {k} gave {shown}, outside [0, 1)")
-    return value
+    return Fraction(num, den)
 
 
 def k_value_bounds(k_prefix: Sequence[int], depth: int) -> tuple[Fraction, Fraction]:

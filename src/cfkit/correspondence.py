@@ -24,7 +24,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
-from ._value import _Value
+from ._value import _slot_setters, _Value
 from .contfrac import (
     ContinuedFraction,
     KSequence,
@@ -48,10 +48,13 @@ class RationalInvariant(_Value):
     theta: Fraction
 
     def __init__(self, n: int, m: int, k: KSequence, theta: Fraction):
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "theta", theta)
+        _set_n(self, n)
+        _set_m(self, m)
+        _set_k(self, k)
+        _set_theta(self, theta)
+
+
+_set_n, _set_m, _set_k, _set_theta = _slot_setters(RationalInvariant)
 
 
 class TowerLevel(_Value):
@@ -77,9 +80,9 @@ class TowerLevel(_Value):
 def k_to_invariant(k: KSequence) -> tuple[int, int]:
     """(n, m) of a k-sequence: the top cumulative path count and the defect sum."""
     _require_type(k, KSequence, "k_to_invariant")
-    counts = path_counts(k)
-    n = counts.cumulative[k.h]
-    m = sum(counts.cumulative) - n  # the sum of cumulative[:h], with no copy of it
+    cumulative = path_counts(k).cumulative
+    n = cumulative[len(k.entries)]
+    m = sum(cumulative) - n  # the sum of cumulative[:h], with no copy of it
     return n, m
 
 
@@ -93,7 +96,7 @@ def rational_to_invariant(r) -> RationalInvariant:
     n, m = k_to_invariant(k)
     if n != den:
         raise AssertionError(f"forward map gave n={_show_int(n)} for {_show_int(theta)}")
-    return RationalInvariant(n=n, m=m, k=k, theta=theta)
+    return RationalInvariant(n, m, k, theta)
 
 
 def invariant_to_k(n: int, m: int) -> KSequence:
@@ -112,10 +115,11 @@ def invariant_to_k(n: int, m: int) -> KSequence:
         return KSequence()
     if not 0 < m < n:
         raise DomainError(f"m must satisfy 0 < m < n, got m={_show_int(m)}, n={_show_int(n)}")
-    if gcd(m, n) != 1:
-        raise DomainError(f"gcd(m, n) must be 1, got gcd{_show_int((m, n))} = {_show_int(gcd(m, n))}")
-
-    return _k_sequence(_simple_terms(-pow(m, -1, n) % n, n, "even"))
+    try:
+        inverse = pow(m, -1, n)
+    except ValueError:  # gcd(m, n) != 1
+        raise DomainError(f"gcd(m, n) must be 1, got gcd{_show_int((m, n))} = {_show_int(gcd(m, n))}") from None
+    return _k_sequence(_simple_terms(-inverse % n, n, "even"))
 
 
 def invariant_to_rational(n: int, m: int) -> Fraction:

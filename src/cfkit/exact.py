@@ -20,7 +20,8 @@ reduced with ``den > 0``, ``inf`` is ``(1, 0)`` and ``undefined`` is
 ``(0, 0)``.  Addition and reciprocal work on these integers alone, so a
 continued-fraction fold builds no :class:`fractions.Fraction`; the finite
 value is handed out as a ``Fraction`` only when :attr:`ExtendedRational.value`
-is read, and rationals elsewhere in the package are ``Fraction`` throughout.
+is read, or by ``contfrac.k_value``, which guards and converts the fold's pair
+itself, and rationals elsewhere in the package are ``Fraction`` throughout.
 
 The fold's hot branches (an int coerced by :func:`as_extended`, :func:`add`
 with an integer left operand, :func:`reciprocal` of a positive value) build

@@ -64,7 +64,7 @@ from bisect import bisect, bisect_left
 from collections import namedtuple
 from itertools import accumulate, compress
 
-from ._value import _Value
+from ._value import _slot_setters, _Value
 from .contfrac import KSequence
 from .errors import CapExceeded, DomainError, _require_type, _show_int
 
@@ -127,8 +127,11 @@ class PathCounts(_Value):
     cumulative: tuple[int, ...]
 
     def __init__(self, per_length: tuple[int, ...], cumulative: tuple[int, ...]):
-        object.__setattr__(self, "per_length", per_length)
-        object.__setattr__(self, "cumulative", cumulative)
+        _set_per_length(self, per_length)
+        _set_cumulative(self, cumulative)
+
+
+_set_per_length, _set_cumulative = _slot_setters(PathCounts)
 
 
 def path_counts(k: KSequence) -> PathCounts:

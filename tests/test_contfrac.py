@@ -23,7 +23,7 @@ from cfkit.contfrac import (
     simple_to_k,
 )
 from cfkit.errors import DomainError
-from cfkit.exact import INFINITY, finite
+from cfkit.exact import INFINITY, UNDEFINED, finite
 
 unit_fractions = st.fractions(min_value=0, max_value=1, max_denominator=500).filter(
     lambda r: r < 1
@@ -295,6 +295,30 @@ def test_k_value_examples():
     assert k_value(KSequence((1,))) == Fraction(1, 2)
     assert k_value(KSequence(())) == 0
     assert k_value(KSequence((2,))) == Fraction(1) / (1 + Fraction(1, 2))
+
+
+@pytest.mark.parametrize("folded,shown", [
+    (INFINITY, "inf"),
+    (UNDEFINED, "undefined"),
+    (finite(1), "1"),
+    (finite(-1), "-1"),
+    (finite(Fraction(3, 2)), "3/2"),
+    (finite(Fraction(-1, 2)), "-1/2"),
+    (finite(Fraction(2**400, 3)), "<401-bit integer>/3"),
+])
+def test_k_value_guard_rejects_a_fold_outside_the_unit_interval(monkeypatch, folded, shown):
+    # The guard compares the fold's integer pair; den == 0 (inf, undefined) fails 0 <= num < den.
+    monkeypatch.setattr(contfrac, "eval_terms", lambda values: folded)
+    with pytest.raises(AssertionError) as info:
+        k_value(KSequence((1,)))
+    assert str(info.value) == f"k_value of (1) gave {shown}, outside [0, 1)"
+
+
+@pytest.mark.parametrize("folded", [finite(0), finite(Fraction(1, 2)), finite(Fraction(2**400 - 1, 2**400))])
+def test_k_value_guard_passes_the_fold_inside_the_unit_interval(monkeypatch, folded):
+    monkeypatch.setattr(contfrac, "eval_terms", lambda values: folded)
+    value = k_value(KSequence((1,)))
+    assert type(value) is Fraction and value == folded.value
 
 
 @given(k_sequences)

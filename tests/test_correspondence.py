@@ -1,4 +1,5 @@
 import os
+import pickle
 import random
 import subprocess
 import sys
@@ -12,6 +13,7 @@ import pytest
 import cfkit
 from cfkit.contfrac import ContinuedFraction, KSequence, convergents, expand_simple, k_value
 from cfkit.correspondence import (
+    RationalInvariant,
     dimension_tower,
     invariant_to_k,
     invariant_to_rational,
@@ -20,7 +22,7 @@ from cfkit.correspondence import (
     rational_to_invariant,
 )
 from cfkit.errors import CapExceeded, DomainError
-from cfkit.paths import defect_by_enumeration, path_counts
+from cfkit.paths import PathCounts, defect_by_enumeration, path_counts
 
 PINNED = [
     (Fraction(2, 3), 3, 1, (2,)),
@@ -144,6 +146,64 @@ def test_euclid_scheme_oracle_large_pairs():
         assert invariant_to_rational(inv.n, inv.m) == theta
 
 
+# --- the bijection certificate: O(1) big-int checks at any size -------------
+#
+# The even expansion [0; a_1, ..., a_N] of p/q has convergents with p_N q_{N-1} - p_{N-1} q_N = -1
+# (N even), so q_{N-1} = -p^-1 mod q: the forward map's (n, m) is (q_N, q_{N-1}), a witness that
+# costs one modular inverse where the path-count oracle cannot go.
+
+_CERTIFICATE_MAX_H = 2 * 10**4
+
+
+def _fibonacci_ratios(count: int):
+    """Seeded F_{i-1}/F_i and F_{i-2}/F_i with F_i of up to 4096 bits; [0; 1, ..., 1, 2] of both parities."""
+    rng = random.Random(20261019)
+    fib = [0, 1]
+    while fib[-1].bit_length() <= 4096:
+        fib.append(fib[-1] + fib[-2])
+    for i in rng.sample(range(4, len(fib) - 1), count):
+        yield Fraction(fib[i - 1], fib[i])
+        yield Fraction(fib[i - 2], fib[i])
+
+
+def _wide_rationals(count: int):
+    """Seeded reduced p/q with 256..4096-bit q whose even expansion has height <= _CERTIFICATE_MAX_H."""
+    rng = random.Random(4096)
+    while count:
+        bits = rng.randint(256, 4096)
+        q = rng.getrandbits(bits) | 1 << (bits - 1)
+        p = rng.randrange(1, q)
+        if gcd(p, q) == 1 and sum(expand_simple(Fraction(p, q), "even").terms[::2]) <= _CERTIFICATE_MAX_H:
+            count -= 1
+            yield Fraction(p, q)
+
+
+def _check_bijection_certificate(theta: Fraction) -> None:
+    p, q = theta.numerator, theta.denominator
+    inv = rational_to_invariant(theta)
+    *_, (_, q_before), (p_last, q_last) = convergents(expand_simple(theta, "even"))
+    assert (p_last, q_last) == (p, q)
+    assert (inv.n, inv.m) == (q_last, q_before)
+    assert inv.m == -pow(p, -1, q) % q
+    assert invariant_to_rational(inv.n, inv.m) == theta
+
+
+def test_bijection_certificate_on_fibonacci_ratios():
+    ratios = list(_fibonacci_ratios(12))
+    # Both Euclid parities: the even expansion is Euclid's own, or its last term was split into [a - 1, 1].
+    assert {expand_simple(r, "even").terms[-1] == 1 for r in ratios} == {False, True}
+    assert max(r.denominator.bit_length() for r in ratios) > 2048
+    for theta in ratios:
+        _check_bijection_certificate(theta)
+
+
+def test_bijection_certificate_on_wide_rationals():
+    rationals = list(_wide_rationals(24))
+    assert max(r.denominator.bit_length() for r in rationals) > 2048
+    for theta in rationals:
+        _check_bijection_certificate(theta)
+
+
 def test_height_bound_raises_cap_exceeded():
     with pytest.raises(CapExceeded, match=r"h = 1000001 exceeds the bound 1000000"):
         invariant_to_k(10**6 + 2, 10**6 + 1)
@@ -221,6 +281,34 @@ def test_round_trip_rationals_small():
             inv = rational_to_invariant(theta)
             assert inv.n == q
             assert invariant_to_rational(inv.n, inv.m) == theta
+
+
+def test_values_set_through_slot_descriptors_behave_like_checked_ones():
+    # The forward map's RationalInvariant, its unchecked KSequence and the PathCounts of that k
+    # set their slots through member descriptors; the public constructors build the same values.
+    for q in range(1, 60):
+        for p in range(q):
+            if gcd(p, q) != 1:
+                continue
+            inv = rational_to_invariant(Fraction(p, q))
+            counts = path_counts(inv.k)
+            k = KSequence(list(inv.k.entries))
+            built = [
+                (inv, RationalInvariant(n=inv.n, m=inv.m, k=k, theta=Fraction(p, q))),
+                (inv.k, k),
+                (counts, PathCounts(per_length=tuple(counts.per_length), cumulative=tuple(counts.cumulative))),
+            ]
+            for fast, checked in built:
+                assert fast == checked and hash(fast) == hash(checked)
+                assert repr(fast) == repr(checked)
+                copy = pickle.loads(pickle.dumps(fast))
+                assert type(copy) is type(fast) and copy == fast and repr(copy) == repr(fast)
+                for name in fast.__match_args__:
+                    with pytest.raises(AttributeError):
+                        setattr(fast, name, None)
+                    with pytest.raises(AttributeError):
+                        delattr(fast, name)
+                assert fast == checked  # unchanged by the refused assignments
 
 
 def test_round_trip_k_sequences_small():

@@ -5,7 +5,7 @@ from itertools import islice, product
 from math import gcd
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from cfkit.errors import CapExceeded, DomainError
@@ -99,6 +99,109 @@ def test_project_is_additive():
         lhs = project((k1[0] + k2[0], k1[1] + k2[1]), q)
         p1, p2 = project(k1, q), project(k2, q)
         assert lhs == ((p1[0] + p2[0]) % q.d, (p1[1] + p2[1]) % q.n)
+
+
+# --- the quotient certificate: O(1) big-int checks at any size -------------
+#
+# project kills a, (n, 0) and (0, n), so it factors through D = Z^2/(Za + nZ^2), and it sends a'
+# and b to the generators of Z/d + Z/n, so it is onto.  The Smith form of the relation matrix
+# [[a+, n, 0], [a-, 0, n]] (columns a, n e_1, n e_2) has invariant factors (d, n), so |D| = dn and
+# the surjection between groups of equal order is an isomorphism (Newman, Integral Matrices, ch. II).
+
+
+def _bezout(x: int, y: int) -> tuple[int, int, int]:
+    """(g, s, t) with s*x + t*y == g, a gcd of x != 0 and y != 0; one modular inverse, no Python loop.
+
+    When x divides y it is (x, 1, 0), so the step below only subtracts a multiple of the pivot's
+    row or column and leaves the pivot's own unchanged; a step that swapped them instead could
+    cycle forever, as on [[2, -2, 1], [3, -1, 1]].
+    """
+    if y % x == 0:
+        return x, 1, 0
+    g = gcd(x, y)
+    yg = abs(y // g)
+    s = pow(x // g, -1, yg) if yg > 1 else 0
+    return g, s, (g - s * x) // y
+
+
+def smith_invariant_factors(rows) -> tuple[int, ...]:
+    """The nonzero invariant factors d_1 | d_2 | ... of an integer matrix, by unimodular row and column steps."""
+    m = [list(row) for row in rows]
+    factors = []
+    while m and m[0]:
+        nonzero = [(abs(v), i, j) for i, row in enumerate(m) for j, v in enumerate(row) if v]
+        if not nonzero:
+            break
+        _, i, j = min(nonzero)
+        m[0], m[i] = m[i], m[0]
+        for row in m:
+            row[0], row[j] = row[j], row[0]
+        while any(row[0] for row in m[1:]) or any(m[0][1:]):
+            for i in range(1, len(m)):  # rows: (s, t; -y/g, x/g) clears m[i][0] into a gcd at m[0][0]
+                x, y = m[0][0], m[i][0]
+                if y:
+                    g, s, t = _bezout(x, y)
+                    m[0], m[i] = ([s * u + t * v for u, v in zip(m[0], m[i])],
+                                  [(-y // g) * u + (x // g) * v for u, v in zip(m[0], m[i])])
+            for j in range(1, len(m[0])):  # the same on columns
+                x, y = m[0][0], m[0][j]
+                if y:
+                    g, s, t = _bezout(x, y)
+                    for row in m:
+                        row[0], row[j] = s * row[0] + t * row[j], (-y // g) * row[0] + (x // g) * row[j]
+        pivot = m[0][0]
+        spoiler = next((i for i in range(1, len(m)) if any(v % pivot for v in m[i][1:])), None)
+        if spoiler is not None:  # the pivot must divide the rest: fold that row in and clear again
+            m[0] = [u + v for u, v in zip(m[0], m[spoiler])]
+            continue
+        factors.append(abs(pivot))
+        m = [row[1:] for row in m[1:]]
+    return tuple(factors)
+
+
+@given(st.lists(st.lists(st.integers(-30, 30), min_size=3, max_size=3), min_size=2, max_size=2))
+@example([[2, -2, 1], [3, -1, 1]])
+def test_smith_factors_are_the_determinantal_divisors(rows):
+    # d_1 is the gcd of the entries, d_1 d_2 the gcd of the 2x2 minors
+    (a, b, c), (d, e, f) = rows
+    minors = gcd(a * e - b * d, a * f - c * d, b * f - c * e)
+    entries = gcd(a, b, c, d, e, f)
+    expected = tuple(x for x in (entries, minors // entries if entries else 0) if x)
+    factors = smith_invariant_factors(rows)
+    assert factors == expected
+    assert all(y % x == 0 for x, y in zip(factors, factors[1:]))
+
+
+def _wide_quotient_inputs(count: int):
+    """Seeded (a, n) of up to 4096 bits; a has a zero coordinate or shares a factor with n in some."""
+    rng = random.Random(15)
+    for _ in range(count):
+        bits = rng.randint(1, 4096)
+        n = rng.getrandbits(bits) or 1
+        a = [rng.randrange(-(1 << bits), 1 << bits) for _ in range(2)]
+        if rng.random() < 0.2:
+            a[rng.randrange(2)] = 0
+        if rng.random() < 0.4:  # a common factor, so that d > 1
+            f = rng.getrandbits(rng.randint(1, 64)) or 2
+            a, n = [f * x for x in a], f * n
+        if a == [0, 0]:
+            a = [0, 1]
+        yield tuple(a), n
+
+
+def test_quotient_certificate_at_any_size():
+    cases = list(_wide_quotient_inputs(500))
+    assert max(n.bit_length() for _, n in cases) > 4000
+    assert sum(build_quotient(a, n).d > 1 for a, n in cases) > 100
+    for a, n in cases:
+        q = build_quotient(a, n)
+        d = q.d
+        assert d == gcd(a[0], a[1], n)
+        assert project(a, q) == project((n, 0), q) == project((0, n), q) == (0, 0)
+        assert project(q.a_prime, q) == (1 % d, 0)
+        assert project(q.b, q) == (0, 1 % n)
+        assert smith_invariant_factors([[a[0], n, 0], [a[1], 0, n]]) == (d, n)
+        assert q.order == d * n
 
 
 def test_defect_class_examples():
