@@ -150,10 +150,17 @@ def _simple_terms(num: int, den: int, parity: Literal["even", "odd"]) -> list[in
     """Terms of ``num/den`` in [0,1) by Euclid, then the parity fix; none (even) for 0."""
     terms = []
     while num:
-        # One big-int division a step: den - q * num is den % num, and costs a multiply.
-        q = den // num
-        terms.append(q)
-        den, num = num, den - q * num
+        # The quotient is 1 exactly when den - num < num (about 41 % of random steps, all of a
+        # Fibonacci ratio's): no division then.  Otherwise one big-int division, and
+        # den - q * num is den % num at the cost of a multiply.
+        rem = den - num
+        if rem < num:
+            terms.append(1)
+        else:
+            q = den // num
+            terms.append(q)
+            rem = den - q * num
+        den, num = num, rem
     # Euclid always ends with a term >= 2 for num/den in (0,1).
     if terms and terms[-1] < 2:
         raise AssertionError(f"Euclid expansion ended in {terms[-1]}")

@@ -3,8 +3,10 @@
 Forward direction: expand a rational to its even-parity simple continued
 fraction, read off the k-sequence, and run the path-counting recurrences;
 ``n`` is the top cumulative count and ``m`` the sum of the earlier ones.
-``n`` always equals the reduced denominator and gcd(m, n) = 1, with (1, 0)
-reserved for the value 0.
+The recurrence gives ``per_length[h] = k_h * sum(cumulative[:h])``, so ``m``
+is read off one count as ``per_length[h] // k_h``.  Euclid takes a quotient
+of 1 (``den - num < num``) with no division.  ``n`` always equals the
+reduced denominator and gcd(m, n) = 1, with (1, 0) reserved for the value 0.
 
 Reverse direction: the invariant of ``theta = p/q`` is ``(q, -p^-1 mod q)``,
 and ``x -> -x^-1 mod q`` is its own inverse (continuant identity), so the
@@ -78,12 +80,20 @@ class TowerLevel(_Value):
 
 
 def k_to_invariant(k: KSequence) -> tuple[int, int]:
-    """(n, m) of a k-sequence: the top cumulative path count and the defect sum."""
+    """(n, m) of a k-sequence: the top cumulative path count and the defect sum.
+
+    ``m = sum(cumulative[:h])``, which the recurrence of :func:`path_counts`
+    already holds: ``per_length[h] = k_h * sum(cumulative[:h])``, and the last
+    entry ``k_h`` of a nonzero k-sequence is nonzero.  So ``m`` is one exact
+    division, ``per_length[h] // k_h``, not a sum of h big counts.  The zero
+    sequence (h = 0) gives (1, 0).
+    """
     _require_type(k, KSequence, "k_to_invariant")
-    cumulative = path_counts(k).cumulative
-    n = cumulative[len(k.entries)]
-    m = sum(cumulative) - n  # the sum of cumulative[:h], with no copy of it
-    return n, m
+    entries = k.entries
+    counts = path_counts(k)
+    if not entries:
+        return 1, 0
+    return counts.cumulative[-1], counts.per_length[-1] // entries[-1]
 
 
 def rational_to_invariant(r) -> RationalInvariant:

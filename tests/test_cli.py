@@ -12,7 +12,8 @@ import shlex
 import sys
 import time
 import tracemalloc
-from contextlib import redirect_stderr, redirect_stdout
+from contextlib import contextmanager, redirect_stderr, redirect_stdout
+from functools import cache
 from pathlib import Path
 
 import pytest
@@ -116,6 +117,58 @@ def test_invariant_at_the_height_bound_within_budget(capsys):
     outputs = json.loads(out)["outputs"]
     assert (code, err, outputs["n"], outputs["m"], len(outputs["k"])) == (0, "", "1000001", "1000000", 10**6)
     assert elapsed < 1
+
+
+@contextmanager
+def no_str_digit_limit():
+    """Lift the int/str digit limit (Python >= 3.10.7), for a test's own literals."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(saved)
+
+
+@cache
+def fibonacci_ratio(digits):
+    """F_{i-1}/F_i for the first F_i of the given number of digits: [0; 1, ..., 1, 2]."""
+    a, b, bound = 0, 1, 10 ** (digits - 1)
+    while b < bound:
+        a, b = b, a + b
+    return a, b
+
+
+def test_invariant_on_a_fibonacci_ratio_within_budget(capsys):
+    # The longest expansion for its size: 95 694 Euclid steps of quotient 1 and a last 2.  Measured
+    # in-process: 0.52-0.54 s, against 1.12-1.16 s when every step divided and m summed h + 1
+    # counts (shared 2-vCPU Xeon, CPython 3.11); the budget is about three times that.
+    p, q = fibonacci_ratio(20_000)  # F_95696/F_95697
+    with no_str_digit_limit():
+        start = time.perf_counter()
+        code, out, err = run(capsys, "invariant", f"{p}/{q}", "--format", "json")
+        elapsed = time.perf_counter() - start
+        outputs = json.loads(out)["outputs"]
+        assert (code, err, int(outputs["n"]), int(outputs["m"])) == (0, "", q, -pow(p, -1, q) % q)
+    assert outputs["k"] == ["1"] * 47_848  # the even expansion is 95 696 ones
+    assert elapsed < 1.5
+
+
+def test_rational_on_a_fibonacci_pair_within_budget(capsys):
+    # The reverse fold takes 2h = 95 696 add/reciprocal steps on integers of up to 20 000 digits.
+    # Measured in-process: 1.08-1.47 s, against 1.60-1.67 s when every Euclid step divided (shared
+    # 2-vCPU Xeon, CPython 3.11); the budget is about three times that.
+    p, q = fibonacci_ratio(20_000)
+    with no_str_digit_limit():
+        m = -pow(p, -1, q) % q
+        start = time.perf_counter()
+        code, out, err = run(capsys, "rational", "--n", str(q), "--m", str(m), "--format", "json")
+        elapsed = time.perf_counter() - start
+        assert (code, err, json.loads(out)["outputs"]["theta"]) == (0, "", f"{p}/{q}")
+    assert elapsed < 3.5
 
 
 def test_oracle_command():

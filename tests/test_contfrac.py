@@ -1,6 +1,7 @@
 import random
 from contextlib import contextmanager
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -254,7 +255,7 @@ def test_euclid_matches_two_divisions_on_random_fractions(pair):
 
 def test_euclid_matches_two_divisions_on_seeded_full_size_fractions():
     rng = random.Random(4096)
-    for bits in (64, 512, 4096) * 4:
+    for bits in (64, 128, 256, 512, 1024, 2048, 4096) * 3:
         den = rng.getrandbits(bits) | 1 << (bits - 1)
         check_expansions(rng.randrange(den), den)
 
@@ -281,6 +282,36 @@ def test_euclid_matches_two_divisions_on_long_zero_runs(q, p):
 def test_euclid_matches_two_divisions_on_big_terms(terms, last):
     # [0; *terms, last] is p/q in (0, 1) whose expansion has these huge quotients
     check_expansions(*convergents(ContinuedFraction(0, (*terms, last)))[-1])
+
+
+# _simple_terms takes a quotient of 1 (den - num < num) with no division, any other by one division.
+
+
+def test_euclid_branches_on_every_small_reduced_fraction():
+    # a last quotient of 2 has den - num == num, which the quotient-1 test must not take
+    for q in range(2, 300):
+        for p in range(1, q):
+            if gcd(p, q) == 1:
+                check_expansions(p, q)
+
+
+def test_euclid_branches_on_every_fibonacci_ratio_up_to_2000():
+    # F_n / F_{n+1} = [0; 1, ..., 1, 2]: every step but the last takes the quotient-1 branch
+    a, b = 1, 2  # F_2, F_3
+    for _ in range(2, 2001):
+        check_expansions(a, b)
+        a, b = b, a + b
+
+
+@pytest.mark.parametrize("big", [2, 3, 10**30])
+@pytest.mark.parametrize("lead", [1, 0])
+@pytest.mark.parametrize("length", [1, 2, 7, 40])
+def test_euclid_branches_interleaved(big, lead, length):
+    # quotient lists that alternate 1 with a larger term, so the two branches take turns
+    terms = [1 if (i + lead) % 2 else big for i in range(length)] + [max(big, 3)]
+    num, den = convergents(ContinuedFraction(0, tuple(terms)))[-1]
+    check_expansions(num, den)
+    assert _simple_terms(num, den, "even" if len(terms) % 2 == 0 else "odd") == terms
 
 
 @given(st.lists(st.tuples(st.integers(1, 500), st.integers(1, 2**80)), max_size=12))

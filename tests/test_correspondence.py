@@ -9,8 +9,11 @@ from math import gcd
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cfkit
+import cfkit.correspondence
 from cfkit.contfrac import ContinuedFraction, KSequence, convergents, expand_simple, k_value
 from cfkit.correspondence import (
     RationalInvariant,
@@ -64,6 +67,32 @@ def test_k_to_invariant_examples():
     assert k_to_invariant(KSequence((1, 1))) == (5, 3)
     assert k_to_invariant(KSequence(())) == (1, 0)
     assert k_to_invariant(KSequence((2,))) == (3, 1)
+
+
+@settings(deadline=None)
+@given(st.lists(st.one_of(st.integers(0, 5), st.integers(0, 2**64)), max_size=40))
+def test_defect_read_off_one_count_equals_the_sum(entries):
+    # m = per_length[h] // k_h stands for sum(cumulative[:h]); k_h is the last, nonzero entry
+    k = KSequence(entries)
+    cumulative = path_counts(k).cumulative
+    assert k_to_invariant(k) == (cumulative[k.h], sum(cumulative[:k.h]))
+
+
+def test_k_to_invariant_calls_path_counts_once(monkeypatch):
+    # the deep and farey span checks count one path_counts call per forward operation
+    calls = []
+
+    def counted(k):
+        calls.append(k)
+        return path_counts(k)
+
+    monkeypatch.setattr(cfkit.correspondence, "path_counts", counted)
+    for entries in ((), (1,), (0, 0, 3), (1, 2**64, 0, 5)):
+        calls.clear()
+        k_to_invariant(KSequence(entries))
+        assert calls == [KSequence(entries)]
+    calls.clear()
+    assert rational_to_invariant(Fraction(0)).n == 1 and len(calls) == 1
 
 
 def test_inverse_euclid_examples():
