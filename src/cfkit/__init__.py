@@ -16,7 +16,7 @@ all of that module's exported names in the package, so every name listed in
 the same way only the modules of the subcommand it runs.
 """
 
-# The exported names of each submodule; ``__getattr__`` imports on demand.
+# The exported names of each submodule, which make up ``__all__``; ``__getattr__`` imports on demand.
 _EXPORTS = {
     "contfrac": ("ContinuedFraction", "KSequence", "convergents", "eval_cf", "eval_terms", "expand_simple",
                  "k_to_simple", "k_value", "k_value_bounds", "simple_to_k"),
@@ -35,57 +35,7 @@ _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in nam
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CapExceeded",
-    "ContinuedFraction",
-    "DomainError",
-    "Edge",
-    "ExtendedRational",
-    "ExtensionDescriptor",
-    "INFINITY",
-    "InvariantClass",
-    "KSequence",
-    "ParseError",
-    "PathCounts",
-    "QuotientGroup",
-    "BruteForceQuotient",
-    "RationalInvariant",
-    "TowerLevel",
-    "UNDEFINED",
-    "add",
-    "as_extended",
-    "brute_force_quotient",
-    "build_quotient",
-    "convergents",
-    "defect_by_enumeration",
-    "defect_class_mod_n",
-    "dimension_tower",
-    "enumerate_paths",
-    "eval_cf",
-    "eval_terms",
-    "expand_simple",
-    "finite",
-    "invariant_class",
-    "invariant_to_k",
-    "invariant_to_rational",
-    "is_isomorphic",
-    "k_to_invariant",
-    "k_to_simple",
-    "k_value",
-    "k_value_bounds",
-    "parse_cf",
-    "parse_rational",
-    "path_counts",
-    "project",
-    "projection_matches_brute_force",
-    "rational_candidates",
-    "rational_to_invariant",
-    "reciprocal",
-    "render_cf",
-    "simple_to_k",
-    "symmetry_orbit",
-    "tensor_factor",
-]
+__all__ = [*_MODULE_OF]
 
 
 def __getattr__(name: str):

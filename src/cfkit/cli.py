@@ -68,11 +68,10 @@ def _text(value) -> str:
 
 
 def _emit(fmt: str, record: dict) -> None:
-    record = _jsonable(record)
     if fmt == "json":
-        print(json.dumps(record, sort_keys=True, separators=(",", ":")))
+        print(json.dumps(_jsonable(record), sort_keys=True, separators=(",", ":")))
         return
-    outputs = record["outputs"]
+    outputs = _jsonable(record["outputs"])  # text shows no inputs, so none is converted
     if "levels" in outputs:
         for level in outputs["levels"]:
             print(f"level {level['level']}: dims={_text(level['dims'])} mult={_text(level['mult'])}")

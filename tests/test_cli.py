@@ -8,6 +8,7 @@ for the argv that test ran.
 
 import io
 import json
+import random
 import shlex
 import sys
 import time
@@ -169,6 +170,48 @@ def test_rational_on_a_fibonacci_pair_within_budget(capsys):
         elapsed = time.perf_counter() - start
         assert (code, err, json.loads(out)["outputs"]["theta"]) == (0, "", f"{p}/{q}")
     assert elapsed < 3.5
+
+
+@pytest.mark.parametrize("fmt, budget", [("text", 2.5), ("json", 6.5)])
+def test_iso_at_the_literal_bound_within_budget(capsys, fmt, budget):
+    # e = n,-3,a-,k+,k- with n, a-, k+ and k- at the 100 000-digit literal bound, and its swapped,
+    # negated and n-shifted twin.  Measured in-process: text 0.85-0.92 s, json 2.13-2.15 s, nearly
+    # all of it int/str conversion (shared 2-vCPU Xeon, CPython 3.11); each budget is about three
+    # times that.  a+ = -3 keeps the Bezout companion cheap: pow(a, -1, m) on two 100 000-digit
+    # integers alone takes about 7 s.
+    rng = random.Random(29)
+    low = 10 ** 99_999  # the least 100 000-digit integer; below 4*low, km + n keeps 100 000 digits
+    n, a, kp, km = (rng.randrange(low, 4 * low) for _ in range(4))
+    with no_str_digit_limit():
+        e, f = f"{n},-3,{a},{kp},{km}", f"{n},{-a},3,{km + n},{kp}"
+        start = time.perf_counter()
+        code, out, err = run(capsys, "iso", "--e", e, "--f", f, "--format", fmt)
+        elapsed = time.perf_counter() - start
+        if fmt == "json":
+            record = json.loads(out)
+            assert record["inputs"]["f"] == {"n": str(n), "a": [str(-a), "3"], "defects": [str(km + n), str(kp)]}
+            out = json.dumps(record["outputs"])
+    assert (code, err, out) == (0, "", "true\n" if fmt == "text" else '{"isomorphic": true}')
+    assert elapsed < budget
+
+
+@pytest.mark.parametrize("fmt, budget", [("text", 1.3), ("json", 2.2)])
+def test_tensor_at_the_literal_bound_within_budget(capsys, fmt, budget):
+    # n = t*p and m = t*l of about 100 000 digits, from 50 000-digit t, p and l.  Measured in-process:
+    # text 0.39-0.45 s, json 0.72-0.75 s, nearly all of it int/str conversion (shared 2-vCPU Xeon,
+    # CPython 3.11); each budget is about three times that.
+    rng = random.Random(29)
+    t, p, l = (rng.randrange(10 ** 49_999, 10 ** 50_000) for _ in range(3))
+    with no_str_digit_limit():
+        start = time.perf_counter()
+        code, out, err = run(capsys, "tensor", "--n", str(t * p), "--m", str(t * l), "--t", str(t), "--format", fmt)
+        elapsed = time.perf_counter() - start
+        if fmt == "json":
+            outputs = json.loads(out)["outputs"]
+        else:
+            outputs = dict(line.split(" = ") for line in out.splitlines())
+        assert (code, err, int(outputs["p"]), int(outputs["l"])) == (0, "", p, l)
+    assert elapsed < budget
 
 
 def test_oracle_command():

@@ -8,10 +8,12 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+import cfkit.invariants
 from cfkit.errors import CapExceeded, DomainError
 from cfkit.invariants import (
     BruteForceQuotient,
     ExtensionDescriptor,
+    InvariantClass,
     _MAX_CELLS,
     _tile,
     brute_force_quotient,
@@ -454,6 +456,31 @@ def test_projection_rejects_a_wrong_d():
             assert not projection_matches_brute_force(q._replace(d=d), bf), (a, n, d)
 
 
+# The symmetry search, the tests' independent oracle for is_isomorphic: (negate index?, swap
+# coordinates?).  Negation leaves the defect pair fixed; the swap exchanges its coordinates.
+_SYMMETRIES = ((1, False), (-1, False), (1, True), (-1, True))
+
+
+def _apply_symmetry(sym, index, defects):
+    sign, swap = sym
+    a = (index[1], index[0]) if swap else index
+    k = (defects[1], defects[0]) if swap else defects
+    return (sign * a[0], sign * a[1]), k
+
+
+def _isomorphic_by_symmetry(e, f):
+    """Equal n, and some symmetry carries f's index onto e's and f's defects into e's defect coset."""
+    if e.n != f.n:
+        return False
+    q = build_quotient(e.index, e.n)
+    target = project(e.defects, q)
+    for sym in _SYMMETRIES:
+        a, k = _apply_symmetry(sym, f.index, f.defects)
+        if a == e.index and project(k, q) == target:
+            return True
+    return False
+
+
 def test_is_isomorphic_known_cases():
     e = ExtensionDescriptor(5, (-1, 1), (0, 2))
     assert is_isomorphic(e, ExtensionDescriptor(5, (-1, 1), (1, 1)))
@@ -489,13 +516,28 @@ def test_is_isomorphic_is_an_equivalence_relation():
     # transitivity via the canonical class: equality is transitive, so it
     # suffices that the relation agrees with class equality everywhere
     for e, f in product(grid, repeat=2):
-        assert is_isomorphic(e, f) == (invariant_class(e) == invariant_class(f))
+        expected = _isomorphic_by_symmetry(e, f)
+        assert is_isomorphic(e, f) == expected, (e, f)
+        assert (invariant_class(e) == invariant_class(f)) == expected, (e, f)
 
 
 def test_invariant_class_canonicalizes():
     cls = invariant_class(ExtensionDescriptor(5, (1, -1), (2, 0)))
     assert cls.index_orbit == (-1, 1)
     assert cls == invariant_class(ExtensionDescriptor(5, (-1, 1), (0, 2)))
+
+
+def test_invariant_class_takes_the_least_index_and_image():
+    # (1, 1) is fixed by the swap: both (0, 1) and (1, 0) move onto the index (-1, -1), and
+    # project to (0, 1) and (0, 4) in Z/1 + Z/5
+    e = ExtensionDescriptor(5, (1, 1), (0, 1))
+    assert invariant_class(e) == InvariantClass(5, (-1, -1), (0, 1))
+    for e in descriptor_grid():
+        moved = [_apply_symmetry(sym, e.index, e.defects) for sym in _SYMMETRIES]
+        canon = min(a for a, _ in moved)
+        q = build_quotient(canon, e.n)
+        images = [project(k, q) for a, k in moved if a == canon]
+        assert invariant_class(e) == InvariantClass(e.n, canon, min(images)), e
 
 
 def test_standard_index_reduces_to_defect_sum():
@@ -506,7 +548,62 @@ def test_standard_index_reduces_to_defect_sum():
                 e = ExtensionDescriptor(n, (-1, 1), e_def)
                 f = ExtensionDescriptor(n, (-1, 1), f_def)
                 expected = defect_class_mod_n(e_def, n) == defect_class_mod_n(f_def, n)
-                assert is_isomorphic(e, f) == expected
+                assert is_isomorphic(e, f) == _isomorphic_by_symmetry(e, f) == expected
+                assert (invariant_class(e) == invariant_class(f)) == expected
+
+
+@st.composite
+def descriptor_pairs(draw):
+    """Two descriptors with n <= 12, |a_+|, |a_-| <= 3 and defects in 0..2n.
+
+    f shares e's n, and an index from e's orbit, often enough that isomorphic pairs are common.
+    """
+    def descriptor(n, index):
+        k = st.integers(0, 2 * n)
+        return ExtensionDescriptor(n, index, (draw(k), draw(k)))
+
+    small = st.tuples(st.integers(-3, 3), st.integers(-3, 3)).filter(lambda a: a != (0, 0))
+    e = descriptor(draw(st.integers(1, 12)), draw(small))
+    n = e.n if draw(st.booleans()) else draw(st.integers(1, 12))
+    moved = [_apply_symmetry(sym, e.index, e.defects)[0] for sym in _SYMMETRIES]
+    index = draw(st.sampled_from(moved)) if draw(st.booleans()) else draw(small)
+    return e, descriptor(n, index)
+
+
+@given(descriptor_pairs())
+def test_is_isomorphic_matches_the_symmetry_search(pair):
+    e, f = pair
+    expected = _isomorphic_by_symmetry(e, f)
+    assert is_isomorphic(e, f) == is_isomorphic(f, e) == expected
+    assert (invariant_class(e) == invariant_class(f)) == expected
+
+
+def test_isomorphism_at_any_size(monkeypatch):
+    # is_isomorphic must not call the public invariant_class, whose calls are counted per operation
+    public_calls = []
+    monkeypatch.setattr(cfkit.invariants, "invariant_class", lambda e: public_calls.append(e))
+    rng = random.Random(29)
+    cases = list(_wide_quotient_inputs(200))
+    assert max(n.bit_length() for _, n in cases) > 4000
+    raised_still_isomorphic = 0
+    for a, n in cases:
+        e = ExtensionDescriptor(n, a, (rng.randrange(2 * n + 1), rng.randrange(2 * n + 1)))
+        # The twin: a random symmetry, then a shift of the defects by u times the twin's own
+        # index plus n*(v, w), with v and w chosen so that the defects stay >= 0.
+        index, defects = _apply_symmetry(rng.choice(_SYMMETRIES), e.index, e.defects)
+        u = rng.randrange(-(1 << 64), 1 << 64)
+        shifted = [k + u * x for k, x in zip(defects, index)]
+        f = ExtensionDescriptor(n, index, [k + n * (rng.randrange(3) - k // n) for k in shifted])
+        assert _isomorphic_by_symmetry(e, f)
+        assert is_isomorphic(e, f) and is_isomorphic(f, e)
+        assert invariant_class(e) == invariant_class(f)
+        other = f._replace(defects=(f.defects[0] + 1, f.defects[1]))
+        expected = _isomorphic_by_symmetry(e, other)
+        raised_still_isomorphic += expected
+        assert is_isomorphic(e, other) == expected
+        assert (invariant_class(e) == invariant_class(other)) == expected
+    assert public_calls == []
+    assert raised_still_isomorphic < len(cases)
 
 
 def test_tensor_factor_examples():

@@ -115,6 +115,13 @@ def test_each_subcommand_loads_only_its_modules(argv, modules):
         f"cfkit.{m}" for m in modules}
 
 
+def test_export_table_lists_each_name_under_one_module():
+    # _MODULE_OF is a dict, so a name listed under two modules would silently keep only the last
+    listed = [name for names in cfkit._EXPORTS.values() for name in names]
+    assert len(listed) == len(set(listed)) == len(cfkit._MODULE_OF) == len(cfkit.__all__)
+    assert cfkit.__all__ == listed
+
+
 def test_namespace_contract():
     assert set(cfkit._MODULE_OF) == set(cfkit.__all__)
     for module, names in cfkit._EXPORTS.items():
