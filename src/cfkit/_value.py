@@ -1,20 +1,26 @@
 """The base of cfkit's immutable value classes.
 
-A value class names its fields once, as ``__slots__ = __match_args__ =
-(...)``, and sets each slot once in its own ``__init__``, after its checks,
-through ``object.__setattr__``.  What the forward and reverse maps build on
-every call (``PathCounts``, ``RationalInvariant`` and the unchecked
-``KSequence`` of ``contfrac._k_sequence``, the one place that sets a slot
-outside ``__init__``, from entries it built from checked terms) is set
-through the slots' member descriptors instead, as :func:`_slot_setters`
-returns them: their ``__set__`` skips the refusing ``__setattr__`` below and
-the by-name lookup, at about half the cost.  The base supplies what a frozen
-dataclass would generate: ``repr`` in the dataclass format, ``==`` between
-instances of one class and ``hash``, both over the field tuple, refusal of
-assignment and deletion, pickling and copying through ``__init__``, and
-``_replace``.  Unlike the dataclass decorator, it imports nothing and
-generates no code when a class is defined, which keeps ``import cfkit`` (and
-so each ``cfkit`` command) from paying for ``inspect``, ``ast`` and ``dis``.
+A value class names its fields in ``__match_args__`` and sets each once in
+its own ``__init__``, after its checks, through ``object.__setattr__``.
+Most declare their fields as their slots, ``__slots__ = __match_args__ =
+(...)``.  Two keep more: ``KSequence`` has a private slot for its even
+simple terms, and ``PathCounts`` keeps its two fields in private slots
+behind properties, beside its top pair and k's simple terms.  A private slot
+that a constructor leaves empty is filled on its first read (see
+:mod:`cfkit.contfrac` and :mod:`cfkit.paths`).  What the forward and reverse
+maps build on every call (``PathCounts``, ``RationalInvariant`` and the
+unchecked ``KSequence`` of ``contfrac._k_sequence``, built from checked
+terms) is set outside ``__init__``, through the slots' member descriptors,
+as :func:`_slot_setters` returns them for fields that are slots: their
+``__set__`` skips the refusing ``__setattr__`` below and the by-name lookup,
+at about half the cost.  The base supplies what a frozen dataclass would
+generate: ``repr`` in the dataclass format, ``==`` between instances of one
+class and ``hash``, both over the field tuple, refusal of assignment and
+deletion, pickling and copying through ``__init__``, and ``_replace``.  All
+of them read the fields by name, so properties serve them as slots do.
+Unlike the dataclass decorator, it imports nothing and generates no code
+when a class is defined, which keeps ``import cfkit`` (and so each ``cfkit``
+command) from paying for ``inspect``, ``ast`` and ``dis``.
 """
 
 from __future__ import annotations

@@ -11,6 +11,13 @@ A *k-sequence* is a finitely supported sequence (k_1, k_2, ...) of natural
 numbers; it encodes the number ``[0, 1, k_1, 1, k_2, ..., 1, k_h]``.  This
 coordinate on [0,1) is the input to the path-counting machinery in
 :mod:`cfkit.paths` and the invariant pipeline in :mod:`cfkit.correspondence`.
+A :class:`KSequence` keeps two forms: the dense entries, and the even simple
+terms ``(p_1, k_{p_1}, p_2 - p_1, k_{p_2}, ...)`` of :func:`k_to_simple`, one
+(gap, value) pair per support point.  The forward and reverse maps build it
+from their Euclid terms, which are those terms already; a sequence built from
+entries derives them once, on first use, through ``_terms_of``.  ``support``,
+:func:`k_to_simple` and :func:`cfkit.paths.path_counts` walk the pairs, so
+none of them scans the h dense entries.
 """
 
 from __future__ import annotations
@@ -18,6 +25,7 @@ from __future__ import annotations
 # Annotations stay unevaluated strings, so ``Literal`` below needs no ``typing`` import.
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
+from itertools import accumulate, compress
 
 from ._value import _slot_setters, _Value
 from .errors import CapExceeded, DomainError, _require_type, _show_int
@@ -68,9 +76,15 @@ class ContinuedFraction(_Value):
 
 
 class KSequence(_Value):
-    """Finitely supported sequence (k_1, ..., k_h), trailing zeros trimmed."""
+    """Finitely supported sequence (k_1, ..., k_h), trailing zeros trimmed.
 
-    __slots__ = __match_args__ = ("entries",)
+    Its one field is ``entries``.  The private slot ``_terms`` holds the even
+    simple terms of :func:`k_to_simple`; it is empty until :func:`_terms_of`
+    derives it, unless the sequence was built from those terms.
+    """
+
+    __slots__ = ("entries", "_terms")
+    __match_args__ = ("entries",)
     entries: tuple[int, ...]
 
     def __init__(self, entries: Iterable[int] = ()):
@@ -93,8 +107,8 @@ class KSequence(_Value):
 
     @property
     def support(self) -> tuple[int, ...]:
-        """Sorted 1-based indices of the nonzero entries."""
-        return tuple(i for i, e in enumerate(self.entries, start=1) if e > 0)
+        """Sorted 1-based indices of the nonzero entries: the running sums of the gaps."""
+        return tuple(accumulate(_terms_of(self)[::2]))
 
     def __iter__(self):
         return iter(self.entries)
@@ -105,6 +119,28 @@ class KSequence(_Value):
 
 _new = object.__new__
 (_set_entries,) = _slot_setters(KSequence)
+_set_terms = KSequence._terms.__set__
+
+
+def _terms_of(k: KSequence) -> tuple[int, ...]:
+    """The even simple terms ``(p_1, k_{p_1}, p_2 - p_1, ...)`` of ``k``, () for the zero sequence.
+
+    Derived from the entries on the first call, one step per nonzero entry
+    found at C speed, and kept in ``k``.  The slot is empty until then, so
+    concurrent first calls each derive equal terms and one of them stays set.
+    """
+    try:
+        return k._terms
+    except AttributeError:
+        pass
+    entries = k.entries
+    terms = []
+    prev = 0
+    for p in compress(range(1, len(entries) + 1), entries):
+        terms += (p - prev, entries[p - 1])
+        prev = p
+    _set_terms(k, terms := tuple(terms))
+    return terms
 
 
 def eval_terms(values: Iterable) -> ExtendedRational:
@@ -125,6 +161,7 @@ def eval_terms(values: Iterable) -> ExtendedRational:
 
 def eval_cf(cf: ContinuedFraction) -> ExtendedRational:
     """Exact value of a continued fraction in the extended rationals."""
+    _require_type(cf, ContinuedFraction, "eval_cf")
     return eval_terms([cf.a0, *cf.terms])
 
 
@@ -197,13 +234,7 @@ def k_to_simple(k: KSequence) -> ContinuedFraction:
     _require_type(k, KSequence, "k_to_simple")
     if k.h == 0:
         raise DomainError("the zero k-sequence has no simple CF form (its value is 0)")
-    terms = []
-    prev = 0
-    for p in k.support:
-        terms.append(p - prev)
-        terms.append(k.at(p))
-        prev = p
-    return ContinuedFraction(0, tuple(terms))
+    return ContinuedFraction(0, _terms_of(k))
 
 
 def simple_to_k(cf: ContinuedFraction) -> KSequence:
@@ -223,9 +254,11 @@ def _k_sequence(terms: Sequence[int]) -> KSequence:
 
     Its entries are exact ints >= 0 ending in a nonzero one, so they skip the
     check of ``KSequence.__init__``, which takes an interpreted step per entry.
+    The terms are kept as its even simple terms.
     """
     k = _new(KSequence)
     _set_entries(k, _k_entries(terms))
+    _set_terms(k, tuple(terms))
     return k
 
 
@@ -290,6 +323,7 @@ def _check_parity(parity) -> None:
 
 
 def _require_zero_head_simple(cf: ContinuedFraction, where: str) -> None:
+    _require_type(cf, ContinuedFraction, where)
     if cf.a0 != 0:
         raise DomainError(f"{where} requires a0 = 0, got {_show_int(cf.a0)}")
     if not cf.is_simple:

@@ -5,7 +5,9 @@ fraction, read off the k-sequence, and run the path-counting recurrences;
 ``n`` is the top cumulative count and ``m`` the sum of the earlier ones.
 The recurrence gives ``per_length[h] = k_h * sum(cumulative[:h])``, so ``m``
 is read off one count as ``per_length[h] // k_h``.  Euclid takes a quotient
-of 1 (``den - num < num``) with no division.  ``n`` always equals the
+of 1 (``den - num < num``) with no division, and its terms are kept in the
+k-sequence, so the recurrence walks them, one step per support point, and
+keeps only the top pair of counts.  ``n`` always equals the
 reduced denominator and gcd(m, n) = 1, with (1, 0) reserved for the value 0.
 
 Reverse direction: the invariant of ``theta = p/q`` is ``(q, -p^-1 mod q)``,
@@ -85,15 +87,16 @@ def k_to_invariant(k: KSequence) -> tuple[int, int]:
     ``m = sum(cumulative[:h])``, which the recurrence of :func:`path_counts`
     already holds: ``per_length[h] = k_h * sum(cumulative[:h])``, and the last
     entry ``k_h`` of a nonzero k-sequence is nonzero.  So ``m`` is one exact
-    division, ``per_length[h] // k_h``, not a sum of h big counts.  The zero
-    sequence (h = 0) gives (1, 0).
+    division, ``per_length[h] // k_h``, not a sum of h big counts.  Both are
+    read off the top pair that ``path_counts`` keeps, so neither count tuple
+    is built.  The zero sequence (h = 0) gives (1, 0).
     """
     _require_type(k, KSequence, "k_to_invariant")
     entries = k.entries
-    counts = path_counts(k)
+    per, cum = path_counts(k)._top_pair()
     if not entries:
         return 1, 0
-    return counts.cumulative[-1], counts.per_length[-1] // entries[-1]
+    return cum, per // entries[-1]
 
 
 def rational_to_invariant(r) -> RationalInvariant:
@@ -151,6 +154,7 @@ def dimension_tower(cf: ContinuedFraction, depth: int) -> list[TowerLevel]:
     Level i has dims (q_i, q_{i-1}) from the convergent denominators and the
     multiplicity matrix toward level i+1 when a term a_{i+1} exists.
     """
+    _require_type(cf, ContinuedFraction, "dimension_tower")
     if type(depth) is not int:
         raise DomainError(f"depth must be an integer, got {_show_int(depth)}")
     if depth < 0 or depth > len(cf.terms):

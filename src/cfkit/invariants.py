@@ -153,6 +153,7 @@ def build_quotient(a: IndexPair, n: int) -> QuotientGroup:
 
 def project(k: tuple[int, int], q: QuotientGroup) -> tuple[int, int]:
     """Image of k in Z/d x Z/n: (k^T A b mod d, k^T A^T a' mod n)."""
+    _require_type(q, QuotientGroup, "project")
     pair = _int_pair(k)
     if pair is None:
         raise DomainError(f"k must be a pair of integers, got {_show_int(k)}")
@@ -280,6 +281,8 @@ def projection_matches_brute_force(q: QuotientGroup, bf: BruteForceQuotient) -> 
     projection restricted to its coset representatives is a bijection onto
     Z/d x Z/n that respects the enumerated addition table.
     """
+    _require_type(q, QuotientGroup, "projection_matches_brute_force")
+    _require_type(bf, BruteForceQuotient, "projection_matches_brute_force")
     d, n = q.d, q.n
     if (bf.a, bf.n) != (q.a, q.n) or bf.order != d * n:
         return False

@@ -21,7 +21,7 @@ import sys
 from fractions import Fraction
 
 from .contfrac import ContinuedFraction
-from .errors import CapExceeded, ParseError, _show_int
+from .errors import CapExceeded, ParseError, _require_type, _show_int
 
 
 # Terms a literal may expand to.  A group multiplies its body before anything
@@ -134,6 +134,7 @@ def parse_cf(text: str) -> ContinuedFraction:
 
 def render_cf(cf: ContinuedFraction) -> str:
     """Canonical text form, re-parseable by :func:`parse_cf`."""
+    _require_type(cf, ContinuedFraction, "render_cf")
     return str(cf)
 
 

@@ -24,16 +24,19 @@ running total T, which is 1 before f = 1:
     T += cumulative[f]
 
 A zero entry adds no words: it repeats per_length 0 and cumulative c and
-adds c to T.  So :func:`path_counts` takes one interpreted step per nonzero
-entry, found at C speed by ``itertools.compress``, and handles the run of g
-zeros before it in one step, the matrix ``[[1, 0], [g, 1]]`` on (c, T):
+adds c to T.  So the counts change only at the support of k, and
+:func:`path_counts` walks the (gap, value) pairs of k's even simple terms
+(see :mod:`cfkit.contfrac`), one step per support point: the g = gap - 1
+zeros before the point add g * c to T, the matrix ``[[1, 0], [g, 1]]`` on
+(c, T), and the point itself takes the step above.
 
-    per_length += [0] * g;  cumulative += [c] * g;  T += g * c
-
-Its interpreted work grows with the support, not with h; the zeros cost only
-list and tuple copies.  The k-sequence of 1/q has q - 1 entries, one of them
-nonzero.  ``tests/test_paths.py`` checks the counts against the quadratic
-sums and against the one-step-per-entry pass.  The enumeration is the
+Its work grows with the support, not with h, and it keeps two counts, not
+2h + 2: it returns a :class:`PathCounts` that holds the top pair
+(per_length[h], cumulative[h]) and k's simple terms, and builds each of its
+two h + 1 tuples by the same walk only when that tuple is first read.  The
+k-sequence of 1/q has q - 1 entries, one of them nonzero.
+``tests/test_paths.py`` checks the counts against the quadratic sums and
+against the one-step-per-entry pass.  The enumeration is the
 independent oracle for these counts and for the defect count used by
 :mod:`cfkit.correspondence`.  It builds at most ``_MAX_WORDS`` words of at
 most the requested length, checked by the same recurrence run one step per
@@ -62,10 +65,10 @@ from __future__ import annotations
 
 from bisect import bisect, bisect_left
 from collections import namedtuple
-from itertools import accumulate, compress
+from itertools import accumulate
 
-from ._value import _slot_setters, _Value
-from .contfrac import KSequence
+from ._value import _Value
+from .contfrac import KSequence, _terms_of
 from .errors import CapExceeded, DomainError, _require_type, _show_int
 
 _MAX_WORDS = 1_000_000
@@ -120,39 +123,85 @@ PathWord = tuple[Edge, ...]
 
 
 class PathCounts(_Value):
-    """Counts of wall-terminated normal-form words, by exact and cumulative length."""
+    """Counts of wall-terminated normal-form words, by exact and cumulative length.
 
-    __slots__ = __match_args__ = ("per_length", "cumulative")
-    per_length: tuple[int, ...]
-    cumulative: tuple[int, ...]
+    The constructor stores both tuples.  :func:`path_counts` stores only the
+    top pair (per_length[h], cumulative[h]) and k's simple terms, and each
+    field's tuple is built from the terms on its first read and kept in its
+    own slot.  An empty slot marks an unbuilt tuple, so concurrent first
+    reads each get an equal tuple, and one of them stays set.
+    """
+
+    __slots__ = ("_per_length", "_cumulative", "_terms", "_top")
+    __match_args__ = ("per_length", "cumulative")
 
     def __init__(self, per_length: tuple[int, ...], cumulative: tuple[int, ...]):
         _set_per_length(self, per_length)
         _set_cumulative(self, cumulative)
 
+    @property
+    def per_length(self) -> tuple[int, ...]:
+        try:
+            return self._per_length
+        except AttributeError:
+            _set_per_length(self, counts := _column(self._terms, cumulative=False))
+            return counts
 
-_set_per_length, _set_cumulative = _slot_setters(PathCounts)
+    @property
+    def cumulative(self) -> tuple[int, ...]:
+        try:
+            return self._cumulative
+        except AttributeError:
+            _set_cumulative(self, counts := _column(self._terms, cumulative=True))
+            return counts
+
+    def _top_pair(self) -> tuple[int, int]:
+        """(per_length[h], cumulative[h]): the pair :func:`path_counts` kept, else the tuples' last counts."""
+        try:
+            return self._top
+        except AttributeError:  # built by the constructor
+            return self.per_length[-1], self.cumulative[-1]
+
+
+_new = object.__new__
+_set_per_length = PathCounts._per_length.__set__
+_set_cumulative = PathCounts._cumulative.__set__
+_set_terms = PathCounts._terms.__set__
+_set_top = PathCounts._top.__set__
 
 
 def path_counts(k: KSequence) -> PathCounts:
     """Counting sequences through the support height h; both stay flat past it."""
     _require_type(k, KSequence, "path_counts")
-    entries = k.entries
-    per = [1]
-    cum = [1]
-    c = total = 1  # cum[-1] and sum(cum)
-    f = 0  # entries[:f] are counted
-    for i in compress(range(len(entries)), entries):
-        if i != f:  # the run of zeros entries[f:i]
-            g = i - f
-            per += [0] * g
-            cum += [c] * g
-            total += g * c
-        per.append(p := entries[i] * total)
-        cum.append(c := c + p)
+    terms = _terms_of(k)
+    per = c = total = 1  # per_length[f], cumulative[f] and sum(cumulative[:f + 1]) at f = 0
+    pairs = iter(terms)
+    for gap, value in zip(pairs, pairs):
+        if gap > 1:  # the zeros before this support point
+            total += (gap - 1) * c
+        per = value * total
+        c += per
         total += c
-        f = i + 1
-    return PathCounts(tuple(per), tuple(cum))
+    counts = _new(PathCounts)
+    _set_terms(counts, terms)
+    _set_top(counts, (per, c))
+    return counts
+
+
+def _column(terms: tuple[int, ...], cumulative: bool) -> tuple[int, ...]:
+    """per_length, or cumulative, through h: the walk of :func:`path_counts`, keeping every count."""
+    out = [1]
+    c = total = 1
+    pairs = iter(terms)
+    for gap, value in zip(pairs, pairs):
+        if gap > 1:
+            out += [c if cumulative else 0] * (gap - 1)
+            total += (gap - 1) * c
+        per = value * total
+        c += per
+        total += c
+        out.append(c if cumulative else per)
+    return tuple(out)
 
 
 def enumerate_paths(k: KSequence, length: int) -> list[PathWord]:

@@ -145,17 +145,26 @@ def fibonacci_ratio(digits):
 
 def test_invariant_on_a_fibonacci_ratio_within_budget(capsys):
     # The longest expansion for its size: 95 694 Euclid steps of quotient 1 and a last 2.  Measured
-    # in-process: 0.52-0.54 s, against 1.12-1.16 s when every step divided and m summed h + 1
-    # counts (shared 2-vCPU Xeon, CPython 3.11); the budget is about three times that.
+    # in-process: 0.39-0.63 s, against 0.51-0.84 s when path_counts kept all 2h + 2 counts and
+    # 1.12-1.16 s when every step divided and m summed h + 1 counts (shared 2-vCPU Xeon, CPython
+    # 3.11); the budget is about three times that.  Traced by tracemalloc, a second run peaks at
+    # 6.8 MiB, against 409 MiB with all the counts kept; the bound is about twice that.
     p, q = fibonacci_ratio(20_000)  # F_95696/F_95697
     with no_str_digit_limit():
+        argv = ("invariant", f"{p}/{q}", "--format", "json")
         start = time.perf_counter()
-        code, out, err = run(capsys, "invariant", f"{p}/{q}", "--format", "json")
+        code, out, err = run(capsys, *argv)
         elapsed = time.perf_counter() - start
         outputs = json.loads(out)["outputs"]
         assert (code, err, int(outputs["n"]), int(outputs["m"])) == (0, "", q, -pow(p, -1, q) % q)
+        tracemalloc.start()
+        try:
+            assert run(capsys, *argv) == (code, out, err)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
     assert outputs["k"] == ["1"] * 47_848  # the even expansion is 95 696 ones
-    assert elapsed < 1.5
+    assert elapsed < 1.5 and peak < 16 << 20
 
 
 def test_rational_on_a_fibonacci_pair_within_budget(capsys):

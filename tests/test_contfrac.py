@@ -14,6 +14,7 @@ from cfkit.contfrac import (
     _k_entries,
     _k_sequence,
     _simple_terms,
+    _terms_of,
     convergents,
     eval_cf,
     eval_terms,
@@ -210,6 +211,36 @@ def test_k_to_simple_inverts_simple_to_k(pairs):
     terms = tuple(t for pair in pairs for t in pair)
     cf = ContinuedFraction(0, terms)
     assert k_to_simple(simple_to_k(cf)) == cf
+
+
+def terms_by_support(entries):
+    """The oracle even simple terms: a (gap, value) pair per nonzero entry, found one entry at a time."""
+    terms, prev = [], 0
+    for i, entry in enumerate(entries, start=1):
+        if entry:
+            terms += (i - prev, entry)
+            prev = i
+    return tuple(terms)
+
+
+# Entries small and large, zero runs, trailing zeros; the empty list is the zero sequence.
+padded_entries = st.tuples(
+    st.lists(st.one_of(st.just(0), st.integers(0, 3), st.integers(1, 2**100)), max_size=60),
+    st.integers(0, 5),
+).map(lambda drawn: drawn[0] + [0] * drawn[1])
+
+
+@given(padded_entries)
+def test_a_built_sequence_derives_its_simple_terms_once(entries):
+    k = KSequence(entries)
+    expected = terms_by_support(entries)
+    assert _terms_of(k) == expected and _terms_of(k) is _terms_of(k)
+    assert k.support == tuple(i for i, entry in enumerate(entries, start=1) if entry)
+    if k.h:
+        assert k_to_simple(k).terms == expected
+    else:
+        assert expected == ()
+    assert k == KSequence(k.entries) and hash(k) == hash(KSequence(k.entries))  # the terms are no field
 
 
 # --- the integer expansion behind both bijection directions ----------------

@@ -14,7 +14,16 @@ from hypothesis import strategies as st
 
 import cfkit
 import cfkit.correspondence
-from cfkit.contfrac import ContinuedFraction, KSequence, convergents, expand_simple, k_value
+from cfkit.contfrac import (
+    ContinuedFraction,
+    KSequence,
+    _terms_of,
+    convergents,
+    expand_simple,
+    k_to_simple,
+    k_value,
+    simple_to_k,
+)
 from cfkit.correspondence import (
     RationalInvariant,
     dimension_tower,
@@ -488,3 +497,20 @@ def test_candidates_domain():
     for r in (float("inf"), float("nan")):
         with pytest.raises(DomainError, match=f"^rational_candidates requires a rational number, got {r}$"):
             rational_candidates(r)
+
+
+@settings(deadline=None)
+@given(st.lists(st.tuples(st.integers(1, 300), st.one_of(st.integers(1, 3), st.integers(1, 2**100))), max_size=12))
+def test_mapped_sequences_keep_their_euclid_terms(pairs):
+    # Each map builds its k-sequence from the even simple terms Euclid gives and keeps them as they
+    # are; invariant_to_k builds the zero sequence (n = 1) from its entries.
+    terms = tuple(t for pair in pairs for t in pair)
+    num, den = convergents(ContinuedFraction(0, terms))[-1]
+    inv = rational_to_invariant(Fraction(num, den))
+    mapped = [simple_to_k(ContinuedFraction(0, terms)), inv.k, invariant_to_k(inv.n, inv.m)]
+    built = KSequence(mapped[0].entries)
+    for k in mapped:
+        assert (k._terms if terms else _terms_of(k)) == terms == _terms_of(built)
+        assert k == built and k.support == built.support
+        assert (k_to_simple(k).terms if k.h else ()) == terms
+

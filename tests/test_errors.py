@@ -6,6 +6,8 @@ import pytest
 from cfkit.contfrac import (
     ContinuedFraction,
     KSequence,
+    convergents,
+    eval_cf,
     expand_simple,
     k_to_simple,
     k_value,
@@ -27,9 +29,11 @@ from cfkit.invariants import (
     build_quotient,
     invariant_class,
     is_isomorphic,
+    project,
+    projection_matches_brute_force,
     tensor_factor,
 )
-from cfkit.literals import parse_cf
+from cfkit.literals import parse_cf, render_cf
 from cfkit.paths import Edge, defect_by_enumeration, enumerate_paths, path_counts
 
 
@@ -122,6 +126,7 @@ def test_domain_messages_past_the_int_limit(call):
 
 
 _PLAIN_TUPLE = (5, (1, 1), (0, 0))
+_QUOTIENT = (build_quotient((-1, 1), 5), brute_force_quotient((-1, 1), 5))
 
 
 @pytest.mark.parametrize("call, expected", [
@@ -135,8 +140,20 @@ _PLAIN_TUPLE = (5, (1, 1), (0, 0))
     (lambda: k_to_invariant((1, 1)), "k_to_invariant expects KSequence"),
     (lambda: k_value((1, 1)), "k_value expects KSequence"),
     (lambda: k_to_simple((1, 1)), "k_to_simple expects KSequence"),
+    (lambda: convergents((0, 1)), "convergents expects ContinuedFraction"),
+    (lambda: dimension_tower((0, 1), 0), "dimension_tower expects ContinuedFraction"),
+    (lambda: eval_cf((0, 1)), "eval_cf expects ContinuedFraction"),
+    (lambda: simple_to_k((0, 1)), "simple_to_k expects ContinuedFraction"),
+    (lambda: render_cf((0, 1)), "render_cf expects ContinuedFraction"),
+    (lambda: project((1, 0), _PLAIN_TUPLE), "project expects QuotientGroup"),
+    (lambda: projection_matches_brute_force(_PLAIN_TUPLE, _QUOTIENT[1]),
+     "projection_matches_brute_force expects QuotientGroup"),
+    (lambda: projection_matches_brute_force(_QUOTIENT[0], _PLAIN_TUPLE),
+     "projection_matches_brute_force expects BruteForceQuotient"),
 ], ids=["invariant_class", "is_isomorphic-e", "is_isomorphic-f", "tensor_factor", "path_counts",
-        "enumerate_paths", "defect_by_enumeration", "k_to_invariant", "k_value", "k_to_simple"])
+        "enumerate_paths", "defect_by_enumeration", "k_to_invariant", "k_value", "k_to_simple",
+        "convergents", "dimension_tower", "eval_cf", "simple_to_k", "render_cf", "project",
+        "projection_matches_brute_force-q", "projection_matches_brute_force-bf"])
 def test_plain_tuples_are_refused_by_type(call, expected):
     # the message names the function and the type, and holds no object address
     with pytest.raises(DomainError, match=f"^{expected}, got tuple$"):

@@ -1,3 +1,4 @@
+import copy
 import os
 import pickle
 import random
@@ -5,7 +6,7 @@ import subprocess
 import sys
 import threading
 import time
-from itertools import product
+from itertools import accumulate, product
 from pathlib import Path
 
 import pytest
@@ -13,7 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cfkit import paths
-from cfkit.contfrac import KSequence, _k_entries, _simple_terms
+from cfkit.contfrac import ContinuedFraction, KSequence, _k_entries, _simple_terms, k_to_simple, simple_to_k
+from cfkit.correspondence import k_to_invariant
 from cfkit.errors import CapExceeded, DomainError
 from cfkit.paths import (
     Edge,
@@ -183,6 +185,84 @@ def test_counts_match_the_per_entry_pass_on_forward_k_sequences():
     for p, q in cases:
         k = forward_k(p, q)
         assert path_counts(k) == path_counts_per_entry(k)
+
+
+def quadratic_counts(entries) -> PathCounts:
+    """The oracle counts by the defining quadratic sums, built through the public constructor."""
+    per = [1]
+    for f in range(1, len(entries) + 1):
+        per.append(entries[f - 1] * sum((f - l) * per[l] for l in range(f)))
+    return PathCounts(tuple(per), tuple(accumulate(per)))
+
+
+def matched(counts):
+    match counts:
+        case PathCounts(per, cum):
+            return PathCounts(per, cum)
+
+
+# Each check reads a PathCounts only through the _Value machinery and compares it with the oracle.
+VALUE_CHECKS = {
+    "eq": lambda counts, ref: counts == ref and ref == counts and not counts != ref,
+    "hash": lambda counts, ref: hash(counts) == hash(ref),
+    "repr": lambda counts, ref: repr(counts) == repr(ref),
+    "pickle": lambda counts, ref: pickle.loads(pickle.dumps(counts)) == ref,
+    "copy": lambda counts, ref: copy.copy(counts) == ref == copy.deepcopy(counts),
+    "replace": lambda counts, ref: counts._replace() == ref == counts._replace(cumulative=ref.cumulative),
+    "match": lambda counts, ref: matched(counts) == ref,
+}
+
+
+@settings(deadline=None)
+@given(st.tuples(
+    st.lists(st.one_of(st.just(0), st.integers(0, 3), st.integers(1, 2**100)), max_size=40),
+    st.integers(0, 5),
+).map(lambda drawn: KSequence(drawn[0] + [0] * drawn[1])))  # trailing zeros; [] is the zero sequence
+def test_counts_built_on_first_read_behave_like_the_quadratic_sums(k):
+    ref = quadratic_counts(k.entries)
+    invariant = (ref.cumulative[-1], sum(ref.cumulative[:-1])) if k.h else (1, 0)
+    # terms derived from the entries, and terms kept from the simple CF
+    for seq in (k, simple_to_k(k_to_simple(k) if k.h else ContinuedFraction(0))):
+        for name, check in VALUE_CHECKS.items():
+            before, after = path_counts(seq), path_counts(seq)
+            assert check(before, ref), name
+            assert k_to_invariant(seq) == invariant
+            assert check(after, ref) and check(before, ref), name
+            assert (before.per_length, before.cumulative) == (ref.per_length, ref.cumulative)
+
+
+def test_concurrent_first_reads_build_equal_tuples():
+    # Long enough that a thread switch can fall inside a build; every reader gets the oracle's tuple.
+    rng = random.Random(30)
+    entries = [rng.choice((0, 0, 1, 2)) for _ in range(1500)] + [1]
+    ref = path_counts_per_entry(KSequence(entries))
+    saved = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(10):
+            k = KSequence(entries)  # its simple terms are derived on first use, here by the threads
+            counts = path_counts(KSequence(entries))
+            barrier = threading.Barrier(4)
+            reads = []
+
+            def read():
+                barrier.wait()
+                reads.append((k.support, counts.per_length, counts.cumulative))
+
+            threads = [threading.Thread(target=read) for _ in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads) and len(reads) == 4
+            for support, per, cum in reads:
+                assert support == KSequence(entries).support
+                assert (per, cum) == (ref.per_length, ref.cumulative)
+            # one of the equal tuples stays set
+            assert any(per is counts.per_length for _, per, _ in reads)
+            assert any(cum is counts.cumulative for _, _, cum in reads)
+    finally:
+        sys.setswitchinterval(saved)
 
 
 def test_counts_per_length_examples():
