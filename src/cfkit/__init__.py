@@ -25,9 +25,8 @@ _EXPORTS = {
     "errors": ("CapExceeded", "DomainError", "ParseError"),
     "exact": ("INFINITY", "UNDEFINED", "ExtendedRational", "add", "as_extended", "finite", "reciprocal"),
     "invariants": ("BruteForceQuotient", "ExtensionDescriptor", "InvariantClass", "QuotientGroup",
-                   "brute_force_quotient", "build_quotient", "defect_class_mod_n", "invariant_class",
-                   "is_isomorphic", "project", "projection_matches_brute_force", "symmetry_orbit",
-                   "tensor_factor"),
+                   "brute_force_quotient", "build_quotient", "invariant_class", "is_isomorphic", "project",
+                   "projection_matches_brute_force", "tensor_factor"),
     "literals": ("parse_cf", "parse_rational", "render_cf"),
     "paths": ("Edge", "PathCounts", "defect_by_enumeration", "enumerate_paths", "path_counts"),
 }

@@ -4,10 +4,10 @@ A value class names its fields in ``__match_args__`` and sets each once in
 its own ``__init__``, after its checks, through ``object.__setattr__``.
 Most declare their fields as their slots, ``__slots__ = __match_args__ =
 (...)``.  Two keep more: ``KSequence`` has a private slot for its even
-simple terms, and ``PathCounts`` keeps its two fields in private slots
-behind properties, beside its top pair and k's simple terms.  A private slot
-that a constructor leaves empty is filled on its first read (see
-:mod:`cfkit.contfrac` and :mod:`cfkit.paths`).  What the forward and reverse
+simple terms, set wherever one is built, and ``PathCounts`` keeps its two
+fields in private slots behind properties, beside its top pair and k's
+simple terms.  A field slot that :func:`cfkit.paths.path_counts` leaves
+empty is filled on its first read.  What the forward and reverse
 maps build on every call (``PathCounts``, ``RationalInvariant`` and the
 unchecked ``KSequence`` of ``contfrac._k_sequence``, built from checked
 terms) is set outside ``__init__``, through the slots' member descriptors,

@@ -11,7 +11,8 @@ errors (precondition violations, enumerations past the fixed bounds of
 :mod:`cfkit.paths` and :mod:`cfkit.invariants`, literals longer than the
 digit bound, repetition groups past the term bound of :mod:`cfkit.literals`,
 and k-sequences above the height bound of :mod:`cfkit.contfrac`), 2 on
-parse errors.
+parse errors.  A reader that closes stdout before the output is written
+gets exit code 1 and no traceback.
 
 Each subcommand's handler imports what it calls from the module that defines
 it, so a run loads only the modules of its subcommand: ``group``, ``iso`` and
@@ -22,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 
@@ -280,7 +282,15 @@ def main(argv=None) -> int:
             args = _build_parser().parse_args(argv)
         except SystemExit as exc:  # argparse exits on --help and on usage errors
             return exc.code
-        _emit(args.format, {"command": args.subcommand, **args.handler(args)})
+        record = {"command": args.subcommand, **args.handler(args)}
+        try:
+            _emit(args.format, record)
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # The reader closed stdout early.  Point it at devnull, so the flush at exit
+            # meets no closed pipe either (the signal module's "Note on SIGPIPE").
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            return 1
         return 0
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)

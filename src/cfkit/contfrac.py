@@ -14,10 +14,10 @@ coordinate on [0,1) is the input to the path-counting machinery in
 A :class:`KSequence` keeps two forms: the dense entries, and the even simple
 terms ``(p_1, k_{p_1}, p_2 - p_1, k_{p_2}, ...)`` of :func:`k_to_simple`, one
 (gap, value) pair per support point.  The forward and reverse maps build it
-from their Euclid terms, which are those terms already; a sequence built from
-entries derives them once, on first use, through ``_terms_of``.  ``support``,
-:func:`k_to_simple` and :func:`cfkit.paths.path_counts` walk the pairs, so
-none of them scans the h dense entries.
+from their Euclid terms, which are those terms already; its constructor
+derives them from the entries.  ``support``, :func:`k_to_simple` and
+:func:`cfkit.paths.path_counts` walk the pairs, so none of them scans the h
+dense entries.
 """
 
 from __future__ import annotations
@@ -79,8 +79,7 @@ class KSequence(_Value):
     """Finitely supported sequence (k_1, ..., k_h), trailing zeros trimmed.
 
     Its one field is ``entries``.  The private slot ``_terms`` holds the even
-    simple terms of :func:`k_to_simple`; it is empty until :func:`_terms_of`
-    derives it, unless the sequence was built from those terms.
+    simple terms of :func:`k_to_simple`, () for the zero sequence.
     """
 
     __slots__ = ("entries", "_terms")
@@ -89,10 +88,13 @@ class KSequence(_Value):
 
     def __init__(self, entries: Iterable[int] = ()):
         entries = _naturals(entries, "k-sequence entries")
-        end = len(entries)
-        while end and entries[end - 1] == 0:
-            end -= 1
-        object.__setattr__(self, "entries", entries[:end])
+        terms = []
+        prev = 0  # the last support point, so entries[:prev] drops the trailing zeros
+        for p in compress(range(1, len(entries) + 1), entries):  # one step per nonzero entry
+            terms += (p - prev, entries[p - 1])
+            prev = p
+        object.__setattr__(self, "entries", entries[:prev])
+        object.__setattr__(self, "_terms", tuple(terms))
 
     @property
     def h(self) -> int:
@@ -108,7 +110,7 @@ class KSequence(_Value):
     @property
     def support(self) -> tuple[int, ...]:
         """Sorted 1-based indices of the nonzero entries: the running sums of the gaps."""
-        return tuple(accumulate(_terms_of(self)[::2]))
+        return tuple(accumulate(self._terms[::2]))
 
     def __iter__(self):
         return iter(self.entries)
@@ -120,27 +122,6 @@ class KSequence(_Value):
 _new = object.__new__
 (_set_entries,) = _slot_setters(KSequence)
 _set_terms = KSequence._terms.__set__
-
-
-def _terms_of(k: KSequence) -> tuple[int, ...]:
-    """The even simple terms ``(p_1, k_{p_1}, p_2 - p_1, ...)`` of ``k``, () for the zero sequence.
-
-    Derived from the entries on the first call, one step per nonzero entry
-    found at C speed, and kept in ``k``.  The slot is empty until then, so
-    concurrent first calls each derive equal terms and one of them stays set.
-    """
-    try:
-        return k._terms
-    except AttributeError:
-        pass
-    entries = k.entries
-    terms = []
-    prev = 0
-    for p in compress(range(1, len(entries) + 1), entries):
-        terms += (p - prev, entries[p - 1])
-        prev = p
-    _set_terms(k, terms := tuple(terms))
-    return terms
 
 
 def eval_terms(values: Iterable) -> ExtendedRational:
@@ -234,7 +215,7 @@ def k_to_simple(k: KSequence) -> ContinuedFraction:
     _require_type(k, KSequence, "k_to_simple")
     if k.h == 0:
         raise DomainError("the zero k-sequence has no simple CF form (its value is 0)")
-    return ContinuedFraction(0, _terms_of(k))
+    return ContinuedFraction(0, k._terms)
 
 
 def simple_to_k(cf: ContinuedFraction) -> KSequence:
@@ -311,9 +292,8 @@ def k_value_bounds(k_prefix: Sequence[int], depth: int) -> tuple[Fraction, Fract
     if type(depth) is not int or not 0 <= depth <= len(entries):
         raise DomainError(f"depth must be an integer within 0..{len(entries)}, got {_show_int(depth)}")
     truncated = KSequence(entries[:depth])
-    simple_terms = k_to_simple(truncated).terms if truncated.h else ()
     gap_min = depth - truncated.h + 1  # least gap to the next support point
-    *_, lo, hi = convergents(ContinuedFraction(0, (*simple_terms, gap_min)))
+    *_, lo, hi = convergents(ContinuedFraction(0, (*truncated._terms, gap_min)))
     return Fraction(*lo), Fraction(*hi)
 
 

@@ -163,25 +163,6 @@ def project(k: tuple[int, int], q: QuotientGroup) -> tuple[int, int]:
     return (first, second)
 
 
-def defect_class_mod_n(defects: DefectPair, n: int) -> int:
-    """(k_+ + k_-) mod n, the defect class for index (-1, 1) where d = 1."""
-    if type(n) is not int or n < 1:
-        raise DomainError(f"n must be an integer >= 1, got {_show_int(n)}")
-    pair = _int_pair(defects)
-    if pair is None:
-        raise DomainError(f"defects must be a pair of integers, got {_show_int(defects)}")
-    return (pair[0] + pair[1]) % n
-
-
-def symmetry_orbit(a: IndexPair) -> IndexPair:
-    """Lexicographic minimum of {a, -a, swap(a), -swap(a)}."""
-    pair = _int_pair(a)
-    if pair is None:
-        raise DomainError(f"index must be a pair of integers, got {_show_int(a)}")
-    ap, am = pair
-    return min((ap, am), (-ap, -am), (am, ap), (-am, -ap))
-
-
 def is_isomorphic(e: ExtensionDescriptor, f: ExtensionDescriptor) -> bool:
     """Decide isomorphism of the extensions described by ``e`` and ``f``.
 
@@ -213,18 +194,18 @@ def _invariant_class(e: ExtensionDescriptor) -> InvariantClass:
 def tensor_factor(e: ExtensionDescriptor, t: int) -> tuple[int, int]:
     """Factor out a t x t matrix tensor from a descriptor with index (-1, 1).
 
-    Writing m for the defect class in [0, n), the factor exists iff t divides
-    both m and n, and then has invariant (p, l) = (n/t, m/t).  Divisibility is
-    necessary, so anything else raises.
+    Writing m = (k_+ + k_-) mod n for the defect class, the factor exists
+    iff t divides both m and n, and then has invariant (p, l) = (n/t, m/t).
+    Divisibility is necessary, so anything else raises.
     """
     _require_type(e, ExtensionDescriptor, "tensor_factor")
-    if symmetry_orbit(e.index) != (-1, 1):
+    if e.index not in ((-1, 1), (1, -1)):  # the orbit of (-1, 1) under negation and swap
         raise DomainError(f"tensor factorization needs index (-1,1) up to symmetry, got {_show_int(e.index)}")
     if type(t) is not int:
         raise DomainError(f"tensor size t must be an integer, got {_show_int(t)}")
     if t < 1:
         raise DomainError(f"tensor size t must be >= 1, got {_show_int(t)}")
-    m = defect_class_mod_n(e.defects, e.n)
+    m = sum(e.defects) % e.n
     if e.n % t != 0 or m % t != 0:
         raise DomainError(f"no factorization: {_show_int(t)} does not divide both m={_show_int(m)} and n={_show_int(e.n)}")
     return (e.n // t, m // t)

@@ -68,7 +68,7 @@ from collections import namedtuple
 from itertools import accumulate
 
 from ._value import _Value
-from .contfrac import KSequence, _terms_of
+from .contfrac import KSequence
 from .errors import CapExceeded, DomainError, _require_type, _show_int
 
 _MAX_WORDS = 1_000_000
@@ -173,7 +173,7 @@ _set_top = PathCounts._top.__set__
 def path_counts(k: KSequence) -> PathCounts:
     """Counting sequences through the support height h; both stay flat past it."""
     _require_type(k, KSequence, "path_counts")
-    terms = _terms_of(k)
+    terms = k._terms
     per = c = total = 1  # per_length[f], cumulative[f] and sum(cumulative[:f + 1]) at f = 0
     pairs = iter(terms)
     for gap, value in zip(pairs, pairs):

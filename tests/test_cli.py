@@ -8,8 +8,10 @@ for the argv that test ran.
 
 import io
 import json
+import os
 import random
 import shlex
+import subprocess
 import sys
 import time
 import tracemalloc
@@ -391,6 +393,29 @@ def test_literal_digit_bound(capsys):
 def test_help_exits_0(capsys):
     # help text differs across Python versions, so the corpus leaves it out
     assert main(["--help"]) == 0 and capsys.readouterr().out.startswith("usage: cfkit")
+
+
+def _fibonacci_ratio(index):
+    a, b = 0, 1
+    for _ in range(index):
+        a, b = b, a + b
+    return f"{a}/{b}"
+
+
+# Each prints far more than a pipe holds: F_4785/F_4786 (about 1 000 digits) has thousands of tower
+# levels, and the k-sequence of 1/1000000 has 999 999 entries.
+@pytest.mark.parametrize("argv", [["tower", _fibonacci_ratio(4785)], ["invariant", "1/1000000"],
+                                  ["invariant", "1/1000000", "--format", "json"]],
+                         ids=["tower-fibonacci", "invariant-text", "invariant-json"])
+def test_a_closed_stdout_exits_1_without_a_traceback(argv):
+    env = dict(os.environ, PYTHONPATH=str(Path(cfkit.__file__).parents[1]))
+    with subprocess.Popen([sys.executable, "-m", "cfkit.cli", *argv], env=env,
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        assert proc.stdout.read(1)  # the output has begun
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        code = proc.wait(timeout=60)
+    assert (code, err) == (1, "")  # no traceback, and no message either
 
 
 def _readme_commands():

@@ -1,4 +1,5 @@
 import random
+import re
 import time
 import tracemalloc
 from itertools import islice, product
@@ -18,12 +19,10 @@ from cfkit.invariants import (
     _tile,
     brute_force_quotient,
     build_quotient,
-    defect_class_mod_n,
     invariant_class,
     is_isomorphic,
     project,
     projection_matches_brute_force,
-    symmetry_orbit,
     tensor_factor,
 )
 
@@ -206,33 +205,12 @@ def test_quotient_certificate_at_any_size():
         assert q.order == d * n
 
 
-def test_defect_class_examples():
-    assert defect_class_mod_n((0, 3), 5) == 3
-    assert defect_class_mod_n((0, 0), 1) == 0
-    assert defect_class_mod_n((2, 3), 5) == 0
-    for n in (0, 2.5, True):
-        with pytest.raises(DomainError):
-            defect_class_mod_n((1, 2), n)
-    for defects in ((1.5, 2), ("1", 2), (1, 2, 3), 3):
-        with pytest.raises(DomainError, match="^defects must be a pair of integers"):
-            defect_class_mod_n(defects, 5)
-
-
-def test_symmetry_orbit_examples():
-    assert symmetry_orbit((-1, 1)) == (-1, 1)
-    assert symmetry_orbit((0, 0)) == (0, 0)
-    assert symmetry_orbit((3, -2)) == (-3, 2)
-    for a in ((1, 2, 3), (1,), (0.5, 1), 1):
-        with pytest.raises(DomainError, match="^index must be a pair of integers"):
-            symmetry_orbit(a)
-
-
 @given(index_pairs)
 def test_symmetry_orbit_is_canonical(a):
     orbit = {a, (-a[0], -a[1]), (a[1], a[0]), (-a[1], -a[0])}
-    rep = symmetry_orbit(a)
+    rep = invariant_class(ExtensionDescriptor(1, a, (0, 0))).index_orbit
     assert rep in orbit
-    assert all(symmetry_orbit(x) == rep for x in orbit)
+    assert all(invariant_class(ExtensionDescriptor(1, x, (0, 0))).index_orbit == rep for x in orbit)
 
 
 def test_brute_force_orders():
@@ -547,7 +525,7 @@ def test_standard_index_reduces_to_defect_sum():
             for f_def in product(range(4), repeat=2):
                 e = ExtensionDescriptor(n, (-1, 1), e_def)
                 f = ExtensionDescriptor(n, (-1, 1), f_def)
-                expected = defect_class_mod_n(e_def, n) == defect_class_mod_n(f_def, n)
+                expected = sum(e_def) % n == sum(f_def) % n
                 assert is_isomorphic(e, f) == _isomorphic_by_symmetry(e, f) == expected
                 assert (invariant_class(e) == invariant_class(f)) == expected
 
@@ -616,6 +594,24 @@ def test_tensor_factor_examples():
             tensor_factor(ExtensionDescriptor(6, (-1, 1), (2, 0)), t)
     with pytest.raises(DomainError):
         tensor_factor(ExtensionDescriptor(6, (1, 2), (2, 0)), 2)
+
+
+def test_tensor_factor_accepts_the_orbit_of_the_standard_index():
+    for index in ((-1, 1), (1, -1)):
+        assert tensor_factor(ExtensionDescriptor(6, index, (2, 2)), 2) == (3, 2)
+
+
+def test_tensor_factor_refuses_other_indices():
+    for index in ((1, 1), (-1, -1), (2, -2)):
+        message = f"tensor factorization needs index (-1,1) up to symmetry, got {index}"
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            tensor_factor(ExtensionDescriptor(6, index, (2, 0)), 1)
+
+
+def test_tensor_factor_takes_the_defect_sum_mod_n():
+    for n in range(1, 7):
+        for defects in product(range(2 * n + 1), repeat=2):
+            assert tensor_factor(ExtensionDescriptor(n, (-1, 1), defects), 1) == (n, (defects[0] + defects[1]) % n)
 
 
 def test_tensor_factor_round_trip():
