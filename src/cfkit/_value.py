@@ -5,8 +5,8 @@ its own ``__init__``, after its checks, through ``object.__setattr__``.
 Most declare their fields as their slots, ``__slots__ = __match_args__ =
 (...)``.  Two keep more: ``KSequence`` has a private slot for its even
 simple terms, set wherever one is built, and ``PathCounts`` keeps its two
-fields in private slots behind properties, beside its top pair and k's
-simple terms.  A field slot that :func:`cfkit.paths.path_counts` leaves
+fields in private slots behind properties, beside k's simple terms and
+their last two continuants, the invariant pair (n, m).  A field slot that :func:`cfkit.paths.path_counts` leaves
 empty is filled on its first read.  What the forward and reverse
 maps build on every call (``PathCounts``, ``RationalInvariant`` and the
 unchecked ``KSequence`` of ``contfrac._k_sequence``, built from checked

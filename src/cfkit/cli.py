@@ -12,7 +12,11 @@ errors (precondition violations, enumerations past the fixed bounds of
 digit bound, repetition groups past the term bound of :mod:`cfkit.literals`,
 and k-sequences above the height bound of :mod:`cfkit.contfrac`), 2 on
 parse errors.  A reader that closes stdout before the output is written
-gets exit code 1 and no traceback.
+gets exit code 1 and no traceback, and so does an interrupt (Ctrl-C), which
+prints ``interrupted`` on stderr.
+
+:func:`main` lifts the interpreter-wide int/str digit limit for its run and
+restores it on return, so it is not for concurrent in-process use.
 
 Each subcommand's handler imports what it calls from the module that defines
 it, so a run loads only the modules of its subcommand: ``group``, ``iso`` and
@@ -297,6 +301,9 @@ def main(argv=None) -> int:
         return 2
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except KeyboardInterrupt:
+        print("interrupted", file=sys.stderr)
         return 1
     finally:
         if limit is not None:

@@ -23,7 +23,8 @@ dense entries.
 from __future__ import annotations
 
 # Annotations stay unevaluated strings, so ``Literal`` below needs no ``typing`` import.
-from collections.abc import Iterable, Sequence
+from collections import deque
+from collections.abc import Iterable, Iterator, Sequence
 from fractions import Fraction
 from itertools import accumulate, compress
 
@@ -88,13 +89,9 @@ class KSequence(_Value):
 
     def __init__(self, entries: Iterable[int] = ()):
         entries = _naturals(entries, "k-sequence entries")
-        terms = []
-        prev = 0  # the last support point, so entries[:prev] drops the trailing zeros
-        for p in compress(range(1, len(entries) + 1), entries):  # one step per nonzero entry
-            terms += (p - prev, entries[p - 1])
-            prev = p
-        object.__setattr__(self, "entries", entries[:prev])
-        object.__setattr__(self, "_terms", tuple(terms))
+        terms, h = _support_terms(entries, len(entries))
+        object.__setattr__(self, "entries", entries[:h])
+        object.__setattr__(self, "_terms", terms)
 
     @property
     def h(self) -> int:
@@ -122,6 +119,15 @@ class KSequence(_Value):
 _new = object.__new__
 (_set_entries,) = _slot_setters(KSequence)
 _set_terms = KSequence._terms.__set__
+
+
+def _support_terms(entries: tuple[int, ...], depth: int) -> tuple[tuple[int, ...], int]:
+    """The even simple terms of the checked ``entries[:depth]``, and its last support point h."""
+    terms, h = [], 0
+    for p in compress(range(1, depth + 1), entries):  # one step per nonzero entry
+        terms += (p - h, entries[p - 1])
+        h = p
+    return tuple(terms), h
 
 
 def eval_terms(values: Iterable) -> ExtendedRational:
@@ -191,18 +197,24 @@ def _simple_terms(num: int, den: int, parity: Literal["even", "odd"]) -> list[in
 def convergents(cf: ContinuedFraction) -> list[tuple[int, int]]:
     """Convergents (p_0,q_0), ..., (p_N,q_N) of a simple CF with a0 = 0.
 
-    p_0=0, p_1=1, q_0=1, q_1=a_1, then p_n = a_n p_{n-1} + p_{n-2} and
-    q_n = a_n q_{n-1} + q_{n-2}; p_n/q_n equals the n-term truncation.
+    p_n and q_n are the continuants from (p_{-1}, p_0) = (1, 0) and
+    (q_{-1}, q_0) = (0, 1); p_n/q_n equals the n-term truncation.
     """
     _require_zero_head_simple(cf, "convergents")
-    out = [(0, 1)]
-    p_prev, q_prev = 1, 0  # (p_{-1}, q_{-1}) so the recurrence covers n = 1
-    p, q = 0, 1
-    for a in cf.terms:
-        p_prev, p = p, a * p + p_prev
-        q_prev, q = q, a * q + q_prev
-        out.append((p, q))
-    return out
+    return list(zip(_continuants(cf.terms, 1, 0), _continuants(cf.terms)))[1:]
+
+
+def _continuants(terms: Iterable[int], prev: int = 0, cur: int = 1) -> Iterator[int]:
+    """x_{-1} = prev, x_0 = cur, then x_i = a_i x_{i-1} + x_{i-2} for each term a_i.
+
+    From (0, 1) these are the convergent denominators q_i, from (1, 0) the
+    numerators p_i.  A term of 1, as in ``_simple_terms``, costs no multiply.
+    """
+    yield prev
+    yield cur
+    for a in terms:
+        prev, cur = cur, (cur + prev if a == 1 else a * cur + prev)
+        yield cur
 
 
 def k_to_simple(k: KSequence) -> ContinuedFraction:
@@ -291,9 +303,9 @@ def k_value_bounds(k_prefix: Sequence[int], depth: int) -> tuple[Fraction, Fract
     entries = _naturals(k_prefix, "k-sequence entries")  # every entry, the untrusted ones too
     if type(depth) is not int or not 0 <= depth <= len(entries):
         raise DomainError(f"depth must be an integer within 0..{len(entries)}, got {_show_int(depth)}")
-    truncated = KSequence(entries[:depth])
-    gap_min = depth - truncated.h + 1  # least gap to the next support point
-    *_, lo, hi = convergents(ContinuedFraction(0, (*truncated._terms, gap_min)))
+    terms, h = _support_terms(entries, depth)
+    terms += (depth - h + 1,)  # the least gap to the next support point
+    lo, hi = deque(zip(_continuants(terms, 1, 0), _continuants(terms)), maxlen=2)
     return Fraction(*lo), Fraction(*hi)
 
 

@@ -1,21 +1,18 @@
 """The bijection between rationals in [0,1) and coprime invariant pairs (n, m).
 
-Forward direction: expand a rational to its even-parity simple continued
-fraction, read off the k-sequence, and run the path-counting recurrences;
-``n`` is the top cumulative count and ``m`` the sum of the earlier ones.
-The recurrence gives ``per_length[h] = k_h * sum(cumulative[:h])``, so ``m``
-is read off one count as ``per_length[h] // k_h``.  Euclid takes a quotient
-of 1 (``den - num < num``) with no division, and its terms are kept in the
-k-sequence, so the recurrence walks them, one step per support point, and
-keeps only the top pair of counts.  ``n`` always equals the
-reduced denominator and gcd(m, n) = 1, with (1, 0) reserved for the value 0.
+Forward direction: expand a rational to its even simple continued fraction
+``[0; a_1, ..., a_N]`` (Euclid takes a quotient of 1 with no division) and
+read off the k-sequence.  ``n`` is the top cumulative path count and ``m``
+the sum of the earlier ones: the continuants ``(q_N, q_{N-1})`` of that
+expansion (see :mod:`cfkit.paths`), the one pair ``path_counts`` keeps.
+``n`` always equals the reduced denominator and gcd(m, n) = 1, with (1, 0)
+reserved for the value 0.
 
-Reverse direction: the invariant of ``theta = p/q`` is ``(q, -p^-1 mod q)``,
-and ``x -> -x^-1 mod q`` is its own inverse (continuant identity), so the
-k-sequence of ``(n, m)`` is read off the even simple expansion of
-``(-m^-1 mod n)/n``, the same integer expansion the forward map uses.  The
-paper's modified Euclidean division scheme, which recovers the k-sequence
-from (n, m) step by step, is kept in the tests as the oracle for this route.
+Reverse direction: continuants read the same backwards, ``q_N/q_{N-1} =
+[a_N; a_{N-1}, ..., a_1]``, so the even expansion of ``m/n`` is theta's,
+reversed; equivalently ``m = -p^-1 mod q`` for ``theta = p/q``.  The paper's
+modified Euclidean division scheme, which recovers the k-sequence from
+(n, m) step by step, is kept in the tests as the oracle for this route.
 
 Also here: the two terminal matrix-dimension candidates a rational inherits
 from its two simple expansions, and the finite tower of dimension pairs
@@ -32,9 +29,10 @@ from ._value import _slot_setters, _Value
 from .contfrac import (
     ContinuedFraction,
     KSequence,
+    _continuants,
     _k_sequence,
+    _require_zero_head_simple,
     _simple_terms,
-    convergents,
     k_value,
 )
 from .errors import DomainError, _require_type, _show_int
@@ -84,19 +82,13 @@ class TowerLevel(_Value):
 def k_to_invariant(k: KSequence) -> tuple[int, int]:
     """(n, m) of a k-sequence: the top cumulative path count and the defect sum.
 
-    ``m = sum(cumulative[:h])``, which the recurrence of :func:`path_counts`
-    already holds: ``per_length[h] = k_h * sum(cumulative[:h])``, and the last
-    entry ``k_h`` of a nonzero k-sequence is nonzero.  So ``m`` is one exact
-    division, ``per_length[h] // k_h``, not a sum of h big counts.  Both are
-    read off the top pair that ``path_counts`` keeps, so neither count tuple
-    is built.  The zero sequence (h = 0) gives (1, 0).
+    ``n = cumulative[h]`` and ``m = sum(cumulative[:h])`` are the continuants
+    (q_N, q_{N-1}) of k's even simple expansion, the pair that
+    :func:`path_counts` keeps, so neither count tuple is built.  The zero
+    sequence (h = 0, no terms) gives (q_0, q_{-1}) = (1, 0).
     """
     _require_type(k, KSequence, "k_to_invariant")
-    entries = k.entries
-    per, cum = path_counts(k)._top_pair()
-    if not entries:
-        return 1, 0
-    return cum, per // entries[-1]
+    return path_counts(k)._invariant()
 
 
 def rational_to_invariant(r) -> RationalInvariant:
@@ -113,7 +105,7 @@ def rational_to_invariant(r) -> RationalInvariant:
 
 
 def invariant_to_k(n: int, m: int) -> KSequence:
-    """Recover the k-sequence of an invariant pair from ``theta = (-m^-1 mod n)/n``.
+    """Recover the k-sequence of an invariant pair from the expansion of ``m/n``, reversed.
 
     Valid inputs are (1, 0) and coprime pairs with 0 < m < n.  Raises
     :class:`CapExceeded` when the height h exceeds the dense-entry bound.
@@ -128,11 +120,10 @@ def invariant_to_k(n: int, m: int) -> KSequence:
         return KSequence()
     if not 0 < m < n:
         raise DomainError(f"m must satisfy 0 < m < n, got m={_show_int(m)}, n={_show_int(n)}")
-    try:
-        inverse = pow(m, -1, n)
-    except ValueError:  # gcd(m, n) != 1
-        raise DomainError(f"gcd(m, n) must be 1, got gcd{_show_int((m, n))} = {_show_int(gcd(m, n))}") from None
-    return _k_sequence(_simple_terms(-inverse % n, n, "even"))
+    if (d := gcd(m, n)) != 1:
+        raise DomainError(f"gcd(m, n) must be 1, got gcd{_show_int((m, n))} = {_show_int(d)}")
+    # m/n = [0; a_N, ..., a_1] for theta = [0; a_1, ..., a_N], even expansions both.
+    return _k_sequence(_simple_terms(m, n, "even")[::-1])
 
 
 def invariant_to_rational(n: int, m: int) -> Fraction:
@@ -154,16 +145,16 @@ def dimension_tower(cf: ContinuedFraction, depth: int) -> list[TowerLevel]:
     Level i has dims (q_i, q_{i-1}) from the convergent denominators and the
     multiplicity matrix toward level i+1 when a term a_{i+1} exists.
     """
-    _require_type(cf, ContinuedFraction, "dimension_tower")
+    _require_zero_head_simple(cf, "dimension_tower")
     if type(depth) is not int:
         raise DomainError(f"depth must be an integer, got {_show_int(depth)}")
     if depth < 0 or depth > len(cf.terms):
         raise DomainError(f"depth must be within 0..{len(cf.terms)}, got {_show_int(depth)}")
-    qs = [q for _, q in convergents(cf)]
+    qs = tuple(_continuants(cf.terms[:depth]))  # q_{-1}, q_0, ..., q_depth
     levels = []
     for i in range(1, depth + 1):
         mult = ((cf.terms[i], 1), (1, 0)) if i < len(cf.terms) else None
-        levels.append(TowerLevel(level=i, dims=(qs[i], qs[i - 1]), mult=mult))
+        levels.append(TowerLevel(level=i, dims=(qs[i + 1], qs[i]), mult=mult))
     return levels
 
 

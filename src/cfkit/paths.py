@@ -16,35 +16,31 @@ length exactly f and ``cumulative[f]`` those of length at most f.  Both are
     per_length[f] = k_f * sum((f - l) * per_length[l] for l < f)
     cumulative[f] = sum(per_length[:f + 1])
 
-The weighted sum equals sum(cumulative[:f]), so the counts follow from the
-running total T, which is 1 before f = 1:
+The weighted sum equals sum(cumulative[:f]).  A zero entry adds no words,
+so both counts stay flat (per_length at 0) between the support points
+p_1 < p_2 < ... of k, and there they are continuants: with q_i the
+convergent denominators of k's even simple expansion ``[0; p_1, k_{p_1},
+p_2 - p_1, ...]`` (see :mod:`cfkit.contfrac`), the Bratteli dimensions of
+its Effros-Shen algebra,
 
-    per_length[f] = k_f * T
-    cumulative[f] = cumulative[f - 1] + per_length[f]
-    T += cumulative[f]
+    cumulative[p_j] = q_{2j},    per_length[p_j] = k_{p_j} * q_{2j-1},
 
-A zero entry adds no words: it repeats per_length 0 and cumulative c and
-adds c to T.  So the counts change only at the support of k, and
-:func:`path_counts` walks the (gap, value) pairs of k's even simple terms
-(see :mod:`cfkit.contfrac`), one step per support point: the g = gap - 1
-zeros before the point add g * c to T, the matrix ``[[1, 0], [g, 1]]`` on
-(c, T), and the point itself takes the step above.
+and sum(cumulative[:p_j]) = q_{2j-1}.  So at h the pair (cumulative[h],
+sum(cumulative[:h])) is (q_N, q_{N-1}), the invariant (n, m) of
+:mod:`cfkit.correspondence`.  :func:`path_counts` folds the recurrence over
+k's simple terms and keeps those two, so its work grows with the support,
+not with h (1/q has q - 1 entries, one nonzero); it builds each h + 1 tuple
+from the continuants on first read.  ``tests/test_paths.py`` checks the
+counts against the quadratic sums and a one-step-per-entry pass.
 
-Its work grows with the support, not with h, and it keeps two counts, not
-2h + 2: it returns a :class:`PathCounts` that holds the top pair
-(per_length[h], cumulative[h]) and k's simple terms, and builds each of its
-two h + 1 tuples by the same walk only when that tuple is first read.  The
-k-sequence of 1/q has q - 1 entries, one of them nonzero.
-``tests/test_paths.py`` checks the counts against the quadratic sums and
-against the one-step-per-entry pass.  The enumeration is the
-independent oracle for these counts and for the defect count used by
-:mod:`cfkit.correspondence`.  It builds at most ``_MAX_WORDS`` words of at
-most the requested length, checked by the same recurrence run one step per
-entry up to that length and stopped once it passes that bound, so a long
-sequence is never counted at full precision.  The
-words of one length may hold at most ``_MAX_EDGES`` edges in all, checked
-from that run's last count, so a long chain whose word count is small is
-still refused before anything is built.
+The enumeration is the independent oracle for these counts and for the
+defect count used by :mod:`cfkit.correspondence`.  It builds at most
+``_MAX_WORDS`` words of at most the requested length, checked by the sums
+above, run one entry at a time with a running sum(cumulative[:f]) and
+stopped once the count passes that bound, so a long sequence is never
+counted at full precision.  The words of one length may hold at most
+``_MAX_EDGES`` edges in all, checked from that run's last count, so a long
+chain whose word count is small is still refused before anything is built.
 
 A word is a tuple of :class:`Edge` values, each an immutable tuple
 ``(kind, level, wall)`` with one checked constructor.  The enumeration builds
@@ -65,10 +61,10 @@ from __future__ import annotations
 
 from bisect import bisect, bisect_left
 from collections import namedtuple
-from itertools import accumulate
+from itertools import accumulate, islice
 
 from ._value import _Value
-from .contfrac import KSequence
+from .contfrac import KSequence, _continuants
 from .errors import CapExceeded, DomainError, _require_type, _show_int
 
 _MAX_WORDS = 1_000_000
@@ -126,13 +122,13 @@ class PathCounts(_Value):
     """Counts of wall-terminated normal-form words, by exact and cumulative length.
 
     The constructor stores both tuples.  :func:`path_counts` stores only the
-    top pair (per_length[h], cumulative[h]) and k's simple terms, and each
-    field's tuple is built from the terms on its first read and kept in its
-    own slot.  An empty slot marks an unbuilt tuple, so concurrent first
-    reads each get an equal tuple, and one of them stays set.
+    continuants (q_N, q_{N-1}) of k's even simple expansion and k's simple
+    terms, and each field's tuple is built from the terms on its first read
+    and kept in its own slot.  An empty slot marks an unbuilt tuple, so
+    concurrent first reads each get an equal tuple, and one of them stays set.
     """
 
-    __slots__ = ("_per_length", "_cumulative", "_terms", "_top")
+    __slots__ = ("_per_length", "_cumulative", "_terms", "_pair")
     __match_args__ = ("per_length", "cumulative")
 
     def __init__(self, per_length: tuple[int, ...], cumulative: tuple[int, ...]):
@@ -155,52 +151,41 @@ class PathCounts(_Value):
             _set_cumulative(self, counts := _column(self._terms, cumulative=True))
             return counts
 
-    def _top_pair(self) -> tuple[int, int]:
-        """(per_length[h], cumulative[h]): the pair :func:`path_counts` kept, else the tuples' last counts."""
+    def _invariant(self) -> tuple[int, int]:
+        """(cumulative[h], sum(cumulative[:h])): the pair :func:`path_counts` kept, else the definition."""
         try:
-            return self._top
+            return self._pair
         except AttributeError:  # built by the constructor
-            return self.per_length[-1], self.cumulative[-1]
+            return self.cumulative[-1], sum(self.cumulative[:-1])
 
 
 _new = object.__new__
 _set_per_length = PathCounts._per_length.__set__
 _set_cumulative = PathCounts._cumulative.__set__
 _set_terms = PathCounts._terms.__set__
-_set_top = PathCounts._top.__set__
+_set_pair = PathCounts._pair.__set__
 
 
 def path_counts(k: KSequence) -> PathCounts:
     """Counting sequences through the support height h; both stay flat past it."""
     _require_type(k, KSequence, "path_counts")
     terms = k._terms
-    per = c = total = 1  # per_length[f], cumulative[f] and sum(cumulative[:f + 1]) at f = 0
-    pairs = iter(terms)
-    for gap, value in zip(pairs, pairs):
-        if gap > 1:  # the zeros before this support point
-            total += (gap - 1) * c
-        per = value * total
-        c += per
-        total += c
+    prev, cur = 0, 1  # q_{-1}, q_0; contfrac._continuants' fold, inline: a generator step costs more per term
+    for a in terms:
+        prev, cur = cur, (cur + prev if a == 1 else a * cur + prev)
     counts = _new(PathCounts)
     _set_terms(counts, terms)
-    _set_top(counts, (per, c))
+    _set_pair(counts, (cur, prev))
     return counts
 
 
 def _column(terms: tuple[int, ...], cumulative: bool) -> tuple[int, ...]:
-    """per_length, or cumulative, through h: the walk of :func:`path_counts`, keeping every count."""
+    """per_length, or cumulative, through h, read off the continuants q_1, ..., q_N as they come."""
+    qs = islice(_continuants(terms), 2, None)  # q_1, q_2, ..., q_N, taken below in (odd, even) pairs
     out = [1]
-    c = total = 1
-    pairs = iter(terms)
-    for gap, value in zip(pairs, pairs):
-        if gap > 1:
-            out += [c if cumulative else 0] * (gap - 1)
-            total += (gap - 1) * c
-        per = value * total
-        c += per
-        total += c
-        out.append(c if cumulative else per)
+    for gap, value, odd, even in zip(terms[::2], terms[1::2], qs, qs):
+        out += [out[-1] if cumulative else 0] * (gap - 1)  # flat up to the support point
+        out.append(even if cumulative else value * odd)
     return tuple(out)
 
 
@@ -232,7 +217,7 @@ def enumerate_paths(k: KSequence, length: int) -> list[PathWord]:
     _require_type(k, KSequence, "enumerate_paths")
     if type(length) is not int or length < 0:
         raise DomainError(f"length must be an integer >= 0, got {_show_int(length)}")
-    # The recurrence of path_counts through min(length, h), stopped once the count passes the bound.
+    # per_length[f] = k_f * sum(cumulative[:f]) through min(length, h), stopped past the bound.
     per = cum = total = 1
     for entry in k.entries[:length]:
         per = entry * total

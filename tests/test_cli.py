@@ -23,6 +23,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cfkit.cli
 import cfkit.correspondence
 import cfkit.paths
 from cfkit.cli import main
@@ -416,6 +417,20 @@ def test_a_closed_stdout_exits_1_without_a_traceback(argv):
         err = proc.stderr.read().decode()
         code = proc.wait(timeout=60)
     assert (code, err) == (1, "")  # no traceback, and no message either
+
+
+def test_an_interrupt_exits_1_without_a_traceback(capsys, monkeypatch):
+    get_limit = getattr(sys, "get_int_max_str_digits", lambda: None)
+    limit, seen = get_limit(), []
+
+    def interrupted(args):
+        seen.append(get_limit())
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cfkit.cli, "cmd_tower", interrupted)
+    assert run(capsys, "tower", "2/5") == (1, "", "interrupted\n")  # one line, no traceback
+    # the handler ran with the digit limit lifted, and main restored it
+    assert seen == [None if limit is None else 0] and get_limit() == limit
 
 
 def _readme_commands():

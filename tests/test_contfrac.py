@@ -494,6 +494,17 @@ def test_bounds_depth_validation():
             k_value_bounds([1], depth)
 
 
+@pytest.mark.parametrize("prefix, depth", [((), 0), ((1, 0, 2), 3), ((0, 0, 3, 1), 2), ((0,) * 99 + (1,), 100)])
+def test_bounds_check_each_entry_once(monkeypatch, prefix, depth):
+    # The prefix is checked by one _naturals pass; the truncation reuses it, with no KSequence built.
+    expected = bounds_by_folds(prefix, depth)
+    calls = []
+    real = contfrac._naturals
+    monkeypatch.setattr(contfrac, "_naturals", lambda values, what: calls.append(what) or real(values, what))
+    assert k_value_bounds(prefix, depth) == expected
+    assert calls == ["k-sequence entries"]
+
+
 def bounds_by_folds(prefix, depth):
     """lo = [0; simple terms], hi = [0; simple terms, gap_min], each by one eval_terms fold."""
     truncated = KSequence(tuple(prefix[:depth]))

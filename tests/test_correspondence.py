@@ -253,6 +253,22 @@ def test_height_bound_raises_cap_exceeded():
         invariant_to_rational(2**200, 2**200 - 1)
 
 
+def test_reverse_map_on_a_long_fibonacci_pair_within_budget():
+    # F_95697/F_95696 (h = 47 848): one Euclid on (m, n), reversed, in 0.14-0.20 s; the route
+    # through pow(m, -1, n) and a Euclid on (-m^-1 mod n, n) took 0.79-1.06 s (2-vCPU Xeon,
+    # CPython 3.11).
+    m, n = 0, 1
+    for _ in range(95696):
+        m, n = n, m + n
+    times = []
+    for _ in range(3):
+        start = time.perf_counter()
+        k = invariant_to_k(n, m)
+        times.append(time.perf_counter() - start)
+    assert k.h == 47848 and k_to_invariant(k) == (n, m)
+    assert min(times) < 0.4
+
+
 def test_forward_map_at_the_height_bound_within_budget():
     # 10**6 - 1 zeros and a final 1; each zero cost one interpreted step until zero runs became
     # one step (0.18-0.30 s before, 0.08-0.10 s after, shared 2-vCPU Xeon, CPython 3.11)
