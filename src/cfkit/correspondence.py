@@ -22,6 +22,7 @@ consecutive levels.
 
 from __future__ import annotations
 
+from collections import deque
 from fractions import Fraction
 from math import gcd
 
@@ -163,12 +164,13 @@ def rational_candidates(r) -> tuple[tuple[int, int], tuple[int, int]]:
 
     The two expansions of a rational in (0,1) give two natural finite
     dimension pairs; they share q_N = denominator(r).  Returned as
-    (even-parity pair, odd-parity pair).  By the continuant identity these are
-    ``(q, x)`` and ``(q, q - x)`` for ``r = p/q`` and ``x = -p^-1 mod q``.
+    (even-parity pair, odd-parity pair).  These are ``(q, x)`` and
+    ``(q, q - x)`` for ``r = p/q``, with ``x`` the continuant q_{N-1} of the
+    even expansion, the forward map's ``m`` (``-p^-1 mod q``).
     """
     theta = _fraction(r, "rational_candidates")
     p, q = theta.numerator, theta.denominator
     if not 0 < p < q:
         raise DomainError(f"rational_candidates requires 0 < r < 1, got {_show_int(theta)}")
-    x = -pow(p, -1, q) % q
+    x, _ = deque(_continuants(_simple_terms(p, q, "even")), maxlen=2)  # q_{N-1}, q_N = q
     return (q, x), (q, q - x)

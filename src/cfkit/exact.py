@@ -27,6 +27,8 @@ The fold's hot branches (an int coerced by :func:`as_extended`, :func:`add`
 with an integer left operand, :func:`reciprocal` of a positive value) build
 their result in place with the same three calls as ``_make``, so that each
 fold step runs two Python frames, ``add`` and ``reciprocal``, not four.
+``0 + y``, the step of every zero entry in a k-sequence's padded form,
+builds nothing: :func:`add` returns ``y`` itself.
 """
 
 from __future__ import annotations
@@ -154,12 +156,16 @@ def as_extended(x) -> ExtendedRational:
 
 
 def add(x: ExtendedRational, y: ExtendedRational) -> ExtendedRational:
-    """Partial addition: finite+finite exactly, finite+inf = inf, inf+inf undefined."""
+    """Partial addition: finite+finite exactly, finite+inf = inf, inf+inf undefined; 0 + y is y."""
     if type(x) is not ExtendedRational:
         x = as_extended(x)
     if type(y) is not ExtendedRational:
         y = as_extended(y)
-    a, b, c, d = x._num, x._den, y._num, y._den
+    a, b = x._num, x._den
+    # 0 + y = y for finite y, inf and undefined alike, and y is already in stored form.
+    if b == 1 and not a:
+        return y
+    c, d = y._num, y._den
     if b and d:
         # a/b + c/d with b == 1 is (a*d + c)/d, already reduced: gcd(a*d + c, d) = gcd(c, d) = 1.
         if b == 1:

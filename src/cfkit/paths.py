@@ -35,12 +35,13 @@ counts against the quadratic sums and a one-step-per-entry pass.
 
 The enumeration is the independent oracle for these counts and for the
 defect count used by :mod:`cfkit.correspondence`.  It builds at most
-``_MAX_WORDS`` words of at most the requested length, checked by the sums
-above, run one entry at a time with a running sum(cumulative[:f]) and
-stopped once the count passes that bound, so a long sequence is never
-counted at full precision.  The words of one length may hold at most
-``_MAX_EDGES`` edges in all, checked from that run's last count, so a long
-chain whose word count is small is still refused before anything is built.
+``_MAX_WORDS`` words of at most the requested length, checked by the
+continuant step above, run one support point at a time up to that length
+and stopped once the count passes that bound, so a long sequence is never
+counted at full precision and a zero run costs one step.  The words of one
+length may hold at most ``_MAX_EDGES`` edges in all, checked from that
+run's last count, so a long chain whose word count is small is still
+refused before anything is built.
 
 A word is a tuple of :class:`Edge` values, each an immutable tuple
 ``(kind, level, wall)`` with one checked constructor.  The enumeration builds
@@ -217,17 +218,23 @@ def enumerate_paths(k: KSequence, length: int) -> list[PathWord]:
     _require_type(k, KSequence, "enumerate_paths")
     if type(length) is not int or length < 0:
         raise DomainError(f"length must be an integer >= 0, got {_show_int(length)}")
-    # per_length[f] = k_f * sum(cumulative[:f]) through min(length, h), stopped past the bound.
-    per = cum = total = 1
-    for entry in k.entries[:length]:
-        per = entry * total
+    # The counts move only at support points f <= length, stopped past the bound: there
+    # (total, cum) = (sum(cumulative[:f]), cumulative[f]) are continuants, as in path_counts.
+    f = total = per = 0
+    cum = 1
+    pairs = iter(k._terms)
+    for gap, value in zip(pairs, pairs):
+        if f + gap > length:
+            break
+        f += gap
+        total += gap * cum
+        per = value * total  # per_length[f]
         cum += per
         if cum > _MAX_WORDS:
             raise CapExceeded(f"more than {_MAX_WORDS} words of length <= {_show_int(length)} to enumerate")
-        total += cum
     if length == 0:
         return [()]
-    if k.at(length) == 0:
+    if f != length:  # k_length = 0
         return []
     # Here 1 <= length <= h, so per is per_length[length].
     if per * length > _MAX_EDGES:

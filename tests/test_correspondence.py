@@ -540,6 +540,15 @@ def test_candidates_match_convergents_and_forward_map():
                 assert candidates[0] == (inv.n, inv.m)
 
 
+def test_candidates_match_the_modular_inverse():
+    # x = q_{N-1} of the even expansion is -p^-1 mod q, the closed form it replaced
+    for q in range(2, 400):
+        for p in range(1, q):
+            if gcd(p, q) == 1:
+                x = -pow(p, -1, q) % q
+                assert rational_candidates(Fraction(p, q)) == ((q, x), (q, q - x)), (p, q)
+
+
 def test_candidates_domain():
     with pytest.raises(DomainError):
         rational_candidates(Fraction(0))

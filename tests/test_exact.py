@@ -35,6 +35,25 @@ def test_add_zero_identity():
     assert add(finite(0), finite(0)) == finite(0)
 
 
+@pytest.mark.parametrize("y", [
+    finite(Fraction(2, 7)),
+    finite(Fraction(-5, 3)),
+    finite(-4),
+    add(finite(Fraction(1, 6)), finite(Fraction(1, 3))),  # built on the gcd branch
+    INFINITY,
+    UNDEFINED,
+], ids=["2/7", "-5/3", "-4", "gcd-branch", "inf", "undefined"])
+def test_adding_to_zero_returns_the_right_operand_itself(y):
+    assert add(finite(0), y) is y
+    assert add(0, y) is y
+
+
+def test_adding_a_fraction_to_the_integer_zero_stores_it_as_finite_does():
+    s, f = add(0, Fraction(3, 4)), finite(Fraction(3, 4))
+    assert s == f and type(s) is ExtendedRational
+    assert (s._num, s._den) == (f._num, f._den) == (3, 4)
+
+
 def test_add_infinity_plus_infinity_is_undefined():
     assert add(INFINITY, INFINITY) is UNDEFINED
 

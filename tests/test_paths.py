@@ -504,6 +504,19 @@ def test_word_bound_is_checked_before_counting_in_full(monkeypatch):
     assert time.perf_counter() - start < 0.25
 
 
+def test_lengths_off_the_support_take_one_step_per_support_point():
+    # one support point at h = 100 000: every shorter length holds no word and walks no zero entry
+    k = KSequence((0,) * 99_999 + (1,))
+    lengths = range(1, 100_000, 1_000)
+    best = float("inf")
+    for _ in range(3):
+        start = time.perf_counter()
+        results = [enumerate_paths(k, length) for length in lengths]
+        best = min(best, time.perf_counter() - start)
+    assert len(results) == 100 and results == [[]] * 100
+    assert best < 0.05
+
+
 def test_over_cap_defect_stops_at_length_h(monkeypatch):
     # cumulative counts (1, 3, 11, 41, 153): every length below h = 4 fits a bound of 100
     monkeypatch.setattr(paths, "_MAX_WORDS", 100)
