@@ -305,9 +305,13 @@ def main(argv=None) -> int:
     except KeyboardInterrupt:
         print("interrupted", file=sys.stderr)
         return 1
+    except MemoryError:
+        pass  # reported below, once leaving the handler has freed the unwound frames
     finally:
         if limit is not None:
             sys.set_int_max_str_digits(limit)
+    print("error: out of memory", file=sys.stderr)
+    return 1
 
 if __name__ == "__main__":
     sys.exit(main())

@@ -45,12 +45,15 @@ refused before anything is built.
 
 A word is a tuple of :class:`Edge` values, each an immutable tuple
 ``(kind, level, wall)`` with one checked constructor.  The enumeration builds
-each level's edges once per k-sequence through that constructor: the levels
-of the last k-sequence enumerated are kept for the next call, as long as they
-hold at most ``_MAX_KEPT_EDGES`` = 4096 edges.  It splits the levels in two,
-recursively, and joins the sorted edge sequences of the two parts in one list
-comprehension.  Each word is thus one tuple concatenation of its two parts,
-and each part is a block of no more sequences than there are words.  The
+each level's edges once per k-sequence through that constructor, and each
+length's words once: the levels and the words of the last k-sequence
+enumerated are kept for the next call, within a budget of ``_MAX_KEPT_BYTES``
+= 512 KiB, so a defect pass after a per-length pass joins nothing.  Past the
+budget a length's words are not kept, and only the caller holds them.  It
+splits the levels in two, recursively, and joins the sorted edge sequences of
+the two parts in one list comprehension.  Each word is thus one tuple
+concatenation of its two parts, and each part is a block of no more sequences
+than there are words.  The
 split falls where the bit lengths of the level sizes balance, so a wide
 level becomes its own block instead of being copied into a larger one.  On a
 long wall-free chain a block of s levels holds s + 1 sequences, so the cost
@@ -70,10 +73,10 @@ from .errors import CapExceeded, DomainError, _require_type, _show_int
 
 _MAX_WORDS = 1_000_000
 _MAX_EDGES = 10_000_000
-# Level edges are kept across calls only up to this many (about 0.5 MiB).
-_MAX_KEPT_EDGES = 4096
-# (entries, levels) of the last k-sequence enumerated; see _levels.
-_snapshot: tuple = (None, (None,))
+# The snapshot retains at most this many bytes by the estimate in _keep.
+_MAX_KEPT_BYTES = 1 << 19
+# (entries, levels, words) of the last k-sequence enumerated; see enumerate_paths.
+_snapshot: tuple = (None, (None,), ())
 
 _KINDS = ("alpha", "beta", "gamma")
 
@@ -203,10 +206,16 @@ def enumerate_paths(k: KSequence, length: int) -> list[PathWord]:
     compared by kind (alpha < beta < gamma) and then by wall index.  Each
     word is one tuple concatenation of its two parts.  Each level's edges are
     built once per k-sequence, through the checked constructor of
-    :class:`Edge`, and reused by later calls on the same ``k`` while its
-    levels built so far hold at most ``_MAX_KEPT_EDGES`` = 4096 edges; no
-    level past ``length`` is built.  Length 0 yields the empty word; the
-    result is empty when k_length = 0.
+    :class:`Edge`, and no level past ``length`` is built.  Length 0 yields
+    the empty word; the result is empty when k_length = 0.
+
+    The levels and each length's words, as tuples, of the last k-sequence
+    enumerated are kept in ``_snapshot``, keyed on the identity of its
+    entries tuple, which the snapshot holds, so that id is never reused.  A
+    repeat of ``(k, length)`` gets a fresh list of the kept words.  A new
+    length extends them into a new tuple that replaces the snapshot whole,
+    and only while the estimate in :func:`_keep` stays within
+    ``_MAX_KEPT_BYTES``: the levels first, then the words beside them.
 
     Raises :class:`CapExceeded` when more than ``_MAX_WORDS`` words have
     length <= ``length``, that is, when cumulative[min(length, h)] does, or
@@ -239,37 +248,45 @@ def enumerate_paths(k: KSequence, length: int) -> list[PathWord]:
     # Here 1 <= length <= h, so per is per_length[length].
     if per * length > _MAX_EDGES:
         raise CapExceeded(f"more than {_MAX_EDGES} edges in the {per} words of length {length} to enumerate")
-    full = _levels(k, length)
-    levels = [*full[:length], list(full[length][2:])]  # the last level offers only its walls
-    bits = list(accumulate((len(level).bit_length() for level in levels[1:]), initial=0))
-    words = _joined(levels, bits, 1, length)
+    entries, levels, kept = _snapshot
+    if entries is not k.entries:
+        entries, levels, kept = k.entries, (None,), ()
+    held = kept[length] if length < len(kept) else None
+    if held is not None:
+        words = list(held)
+    else:
+        if len(levels) <= length:  # level t is ((alpha,), (beta,), (gamma(1),), ..., (gamma(k_t),))
+            levels += tuple(
+                ((Edge("alpha", t),), (Edge("beta", t),), *[(Edge("gamma", t, w),) for w in range(1, entries[t - 1] + 1)])
+                for t in range(len(levels), length + 1)
+            )
+        last = [*levels[:length], list(levels[length][2:])]  # the last level offers only its walls
+        bits = list(accumulate((len(level).bit_length() for level in last[1:]), initial=0))
+        words = _joined(last, bits, 1, length)
     if len(words) != per:
         raise AssertionError(f"enumerated {len(words)} words of length {length}, counted {per}")
+    if held is None:
+        _keep(entries, levels, kept, length, words)
     return words
 
 
-def _levels(k: KSequence, length: int) -> tuple:
-    """The checked edge 1-tuples of levels 1..``length`` of ``k``, at least.
+def _keep(entries: tuple, levels: tuple, kept: tuple, length: int, words: list[PathWord]) -> None:
+    """Replace the snapshot with ``levels`` and ``kept``, and ``words`` beside them if they fit.
 
-    Level t is ``((alpha,), (beta,), (gamma(1),), ..., (gamma(k_t),))`` and
-    index 0 holds None.  The levels of the last k-sequence enumerated are
-    kept in ``_snapshot``, keyed on the identity of its entries tuple, which
-    the snapshot holds, so that id is never reused.  A longer length extends
-    them into a new tuple that replaces the snapshot whole, and only while
-    the levels hold at most ``_MAX_KEPT_EDGES`` edges.
+    ``kept[f]`` holds the words of length f, or None.  The estimate is 112
+    bytes per level edge (an Edge is 64, its 1-tuple 48) and 40 + 8f per
+    word of length f.  Levels past the budget leave the snapshot as it is.
+    Concurrent callers may replace each other's snapshot; each one is whole,
+    and a lost one only costs a later call a rebuild.
     """
     global _snapshot
-    entries, levels = _snapshot
-    if entries is not k.entries:
-        entries, levels = k.entries, (None,)
-    if len(levels) <= length:
-        levels += tuple(
-            ((Edge("alpha", t),), (Edge("beta", t),), *[(Edge("gamma", t, w),) for w in range(1, entries[t - 1] + 1)])
-            for t in range(len(levels), length + 1)
-        )
-        if 2 * length + sum(entries[:length]) <= _MAX_KEPT_EDGES:
-            _snapshot = entries, levels
-    return levels
+    room = _MAX_KEPT_BYTES - 112 * sum(map(len, levels[1:]))
+    room -= sum(len(held) * (40 + 8 * f) for f, held in enumerate(kept) if held is not None)
+    if room < 0:
+        return
+    if len(words) * (40 + 8 * length) <= room:
+        kept = (*kept[:length], *[None] * (length - len(kept)), tuple(words), *kept[length + 1:])
+    _snapshot = entries, levels, kept
 
 
 def _joined(levels: list, bits: list[int], lo: int, hi: int) -> list[PathWord]:
@@ -296,7 +313,9 @@ def defect_by_enumeration(k: KSequence) -> int:
     Rejects the zero sequence (its defect is fixed to 0 by convention at the
     correspondence level).  Lengths are enumerated longest first, so a
     request over the word bound raises at length h before any shorter length
-    is built, and only one length's words are held at a time.
+    is built.  The lengths that a per-length pass over ``k`` just built are
+    read from the snapshot of :func:`enumerate_paths`, and no word is built
+    twice; past its budget only one length's words are held at a time.
     """
     _require_type(k, KSequence, "defect_by_enumeration")
     if k.h == 0:

@@ -433,6 +433,30 @@ def test_an_interrupt_exits_1_without_a_traceback(capsys, monkeypatch):
     assert seen == [None if limit is None else 0] and get_limit() == limit
 
 
+def test_out_of_memory_exits_1_with_one_line(capsys, monkeypatch):
+    import builtins
+    import weakref
+
+    class Block:
+        pass
+
+    held, alive_at_print = [], []
+
+    def exhausted(args):
+        block = Block()  # stands for what the handler had built when memory ran out
+        held.append(weakref.ref(block))
+        raise MemoryError
+
+    def recording(*args, **kwargs):
+        alive_at_print.append(held[0]() is not None)
+        builtins.print(*args, **kwargs)
+
+    monkeypatch.setattr(cfkit.cli, "cmd_tower", exhausted)
+    monkeypatch.setattr(cfkit.cli, "print", recording, raising=False)
+    assert run(capsys, "tower", "2/5") == (1, "", "error: out of memory\n")  # one line, no traceback
+    assert alive_at_print == [False]  # the handler's frame was gone before the line printed
+
+
 def _readme_commands():
     block = README.read_text().split("## Command line", 1)[1].split("```text", 1)[1].split("```", 1)[0]
     return [shlex.split(line.split("#", 1)[0])[1:] for line in block.splitlines() if line.startswith("cfkit ")]

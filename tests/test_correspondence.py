@@ -4,6 +4,7 @@ import random
 import subprocess
 import sys
 import time
+import tracemalloc
 from fractions import Fraction
 from math import gcd
 from pathlib import Path
@@ -279,6 +280,52 @@ def test_forward_map_at_the_height_bound_within_budget():
         times.append(time.perf_counter() - start)
     assert (inv.n, inv.m, inv.k.h, inv.k.support) == (10**6 + 1, 10**6, 10**6, (10**6,))
     assert min(times) < 0.2
+
+
+def opcodes_run(call) -> int:
+    """The bytecodes that ``call()`` runs, counted by a line-free opcode tracer."""
+    count = 0
+
+    def local(frame, event, arg):
+        nonlocal count
+        count += event == "opcode"
+        return local
+
+    def tracer(frame, event, arg):
+        frame.f_trace_lines, frame.f_trace_opcodes = False, True
+        return local
+
+    previous = sys.gettrace()
+    sys.settrace(tracer)
+    try:
+        call()
+    finally:
+        sys.settrace(previous)
+    return count
+
+
+def peak_bytes(call) -> int:
+    """The peak of the memory that ``call()`` allocates, traced by tracemalloc."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        call()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def test_forward_map_work_does_not_grow_with_the_height():
+    # 1/(h + 1) has h - 1 zeros and a final 1: one zero-run step, whatever h is
+    thetas = [Fraction(1, h + 1) for h in (10**2, 10**3, 10**4)]
+    rational_to_invariant(thetas[0])  # warm-up: first-use caches and lazy imports
+    counts = [opcodes_run(lambda: rational_to_invariant(theta)) for theta in thetas]
+    assert counts[0] == counts[1] == counts[2], counts
+    # Work in C is invisible to the opcode count.  Only the dense entries grow with h: a list
+    # and the tuple built from it, two pointers an entry (16 bytes on 3.10-3.13), while
+    # building a count column as well takes about 25.
+    peaks = [peak_bytes(lambda: rational_to_invariant(theta)) for theta in thetas[1:]]
+    assert peaks[1] - peaks[0] <= 2 * 8 * (10**4 - 10**3) + 1024, peaks
 
 
 _OFF_BY_ONE = """

@@ -588,7 +588,7 @@ def counted_edges(monkeypatch) -> list:
         return Edge(*args)
 
     monkeypatch.setattr(paths, "Edge", counting)
-    monkeypatch.setattr(paths, "_snapshot", (None, (None,)))
+    monkeypatch.setattr(paths, "_snapshot", (None, (None,), ()))
     return built
 
 
@@ -616,7 +616,7 @@ def test_a_large_level_set_is_not_kept(monkeypatch):
     import gc
     import tracemalloc
 
-    monkeypatch.setattr(paths, "_snapshot", (None, (None,)))
+    monkeypatch.setattr(paths, "_snapshot", (None, (None,), ()))
     k = KSequence((0,) * 5 + (50_000,))  # 50 012 edges, past the bound of 4 096
     gc.collect()
     tracemalloc.start()
@@ -639,7 +639,77 @@ def test_no_levels_are_built_at_import():
     code = "from cfkit import paths; print(paths._snapshot)"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "(None, (None,))\n"
+    assert proc.stdout == "(None, (None,), ())\n"
+
+
+def counted_joins(monkeypatch) -> list:
+    """The (lo, hi) of every ``_joined`` call, from an empty snapshot on."""
+    real, joins = paths._joined, []
+
+    def counting(levels, bits, lo, hi):
+        joins.append((lo, hi))
+        return real(levels, bits, lo, hi)
+
+    monkeypatch.setattr(paths, "_joined", counting)
+    monkeypatch.setattr(paths, "_snapshot", (None, (None,), ()))
+    return joins
+
+
+def test_a_repeated_length_joins_nothing(monkeypatch):
+    joins = counted_joins(monkeypatch)
+    k = KSequence((1, 2, 0, 1, 3))
+    first = enumerate_paths(k, 4)
+    assert joins
+    joins.clear()
+    again = enumerate_paths(k, 4)
+    assert joins == []
+    assert again == first == reference_enumeration(k, 4) and again is not first
+
+
+def test_a_returned_list_is_the_callers_own():
+    k = KSequence((2, 0, 1, 2))
+    for f in (1, 3, 4):
+        expected = reference_enumeration(k, f)
+        for _ in range(2):  # the built list, then the kept one
+            words = enumerate_paths(k, f)
+            assert words == expected, f
+            words.reverse()
+            words.append(())
+            words[0] = None
+    assert [enumerate_paths(k, f) for f in (1, 3, 4)] == [reference_enumeration(k, f) for f in (1, 3, 4)]
+
+
+def test_words_past_the_budget_are_not_kept(monkeypatch):
+    import gc
+    import tracemalloc
+
+    monkeypatch.setattr(paths, "_snapshot", (None, (None,), ()))
+    k = KSequence((1,) * 12)  # 46 368 words of 12 edges: about 6 MiB by the estimate
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        words = enumerate_paths(k, 12)
+        assert len(words) == 46_368
+        del words
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    entries, levels, kept = paths._snapshot
+    assert entries is k.entries and len(levels) == 13 and kept == ()  # the levels, not the words
+    assert retained < 512 * 1024, retained
+
+
+def test_a_defect_pass_after_every_length_joins_nothing(monkeypatch):
+    # the largest k-sequence of the benchmark's path checks: 18 775 edges in its words
+    joins = counted_joins(monkeypatch)
+    k = KSequence((1, 0, 0, 3, 1, 3, 2, 1))
+    per = path_counts(k).per_length
+    assert [len(enumerate_paths(k, f)) for f in range(k.h + 1)] == list(per)
+    joins.clear()
+    assert defect_by_enumeration(k) == sum(path_counts(k).cumulative[:k.h])
+    assert joins == []
 
 
 def test_concurrent_callers_get_the_single_threaded_words():
