@@ -6,29 +6,25 @@ Most declare their fields as their slots, ``__slots__ = __match_args__ =
 (...)``.  Two keep more: ``KSequence`` has a private slot for its even
 simple terms, set wherever one is built, and ``PathCounts`` keeps its two
 fields in private slots behind properties, beside k's simple terms and
-their last two continuants, the invariant pair (n, m).  A field slot that :func:`cfkit.paths.path_counts` leaves
-empty is filled on its first read.  What the forward and reverse
-maps build on every call (``PathCounts``, ``RationalInvariant`` and the
-unchecked ``KSequence`` of ``contfrac._k_sequence``, built from checked
-terms) is set outside ``__init__``, through the slots' member descriptors,
-as :func:`_slot_setters` returns them for fields that are slots: their
-``__set__`` skips the refusing ``__setattr__`` below and the by-name lookup,
-at about half the cost.  The base supplies what a frozen dataclass would
-generate: ``repr`` in the dataclass format, ``==`` between instances of one
-class and ``hash``, both over the field tuple, refusal of assignment and
-deletion, pickling and copying through ``__init__``, and ``_replace``.  All
-of them read the fields by name, so properties serve them as slots do.
-Unlike the dataclass decorator, it imports nothing and generates no code
-when a class is defined, which keeps ``import cfkit`` (and so each ``cfkit``
-command) from paying for ``inspect``, ``ast`` and ``dis``.
+their last two continuants, the invariant pair (n, m).  A field slot that
+:func:`cfkit.paths.path_counts` leaves empty is filled on its first read.
+What the forward and reverse maps build on every call (``PathCounts``,
+``RationalInvariant`` and the unchecked ``KSequence`` of
+``contfrac._k_sequence``, built from checked terms) is set outside
+``__init__``, through ``Cls.field.__set__``, the setter of the slot's
+member descriptor: it skips the refusing ``__setattr__`` below and the
+by-name lookup, at about half the cost.  The base supplies what a frozen
+dataclass would generate: ``repr`` in the dataclass format, ``==`` between
+instances of one class and ``hash``, both over the field tuple, refusal of
+assignment and deletion, pickling and copying through ``__init__``, and
+``_replace``.  All of them read the fields by name, so properties serve
+them as slots do.  Unlike the dataclass decorator, it imports nothing and
+generates no code when a class is defined, which keeps ``import cfkit``
+(and so each ``cfkit`` command) from paying for ``inspect``, ``ast`` and
+``dis``.
 """
 
 from __future__ import annotations
-
-
-def _slot_setters(cls: type) -> tuple:
-    """The ``__set__`` of each field's member descriptor, in ``__match_args__`` order."""
-    return tuple(getattr(cls, name).__set__ for name in cls.__match_args__)
 
 
 class _Value:

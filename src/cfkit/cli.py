@@ -121,15 +121,11 @@ def cmd_oracle(args) -> dict:
     from .paths import enumerate_paths, path_counts
 
     k = KSequence(tuple(_ints_csv(args.k, what="k-sequence")))
-    # Longest first, and counted in full only after, so an over-bound request fails at once.
-    # A length f >= 1 with k_f = 0 has no wall to end on, so its count stays 0 unbuilt.
-    enumerated = [0] * (k.h + 1)
-    for f in range(k.h, -1, -1):
-        if f == 0 or k.at(f):
-            enumerated[f] = len(enumerate_paths(k, f))
+    # Longest first, as defect_by_enumeration goes, so an over-bound request fails at once.
+    enumerated = [len(enumerate_paths(k, f)) for f in range(k.h, -1, -1)][::-1]
     counts = path_counts(k)
     defect = sum((k.h - f) * c for f, c in enumerate(enumerated))
-    m = sum(counts.cumulative[:k.h])
+    _, m = counts._invariant()
     return {
         "inputs": {"k": k.entries},
         "outputs": {

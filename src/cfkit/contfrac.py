@@ -28,7 +28,7 @@ from collections.abc import Iterable, Iterator, Sequence
 from fractions import Fraction
 from itertools import accumulate, compress
 
-from ._value import _slot_setters, _Value
+from ._value import _Value
 from .errors import CapExceeded, DomainError, _require_type, _show_int
 from .exact import ExtendedRational, _fraction, add, as_extended, reciprocal
 
@@ -117,7 +117,7 @@ class KSequence(_Value):
 
 
 _new = object.__new__
-(_set_entries,) = _slot_setters(KSequence)
+_set_entries = KSequence.entries.__set__
 _set_terms = KSequence._terms.__set__
 
 

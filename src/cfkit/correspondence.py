@@ -26,7 +26,7 @@ from collections import deque
 from fractions import Fraction
 from math import gcd
 
-from ._value import _slot_setters, _Value
+from ._value import _Value
 from .contfrac import (
     ContinuedFraction,
     KSequence,
@@ -57,7 +57,10 @@ class RationalInvariant(_Value):
         _set_theta(self, theta)
 
 
-_set_n, _set_m, _set_k, _set_theta = _slot_setters(RationalInvariant)
+_set_n = RationalInvariant.n.__set__
+_set_m = RationalInvariant.m.__set__
+_set_k = RationalInvariant.k.__set__
+_set_theta = RationalInvariant.theta.__set__
 
 
 class TowerLevel(_Value):

@@ -53,12 +53,10 @@ budget a length's words are not kept, and only the caller holds them.  It
 splits the levels in two, recursively, and joins the sorted edge sequences of
 the two parts in one list comprehension.  Each word is thus one tuple
 concatenation of its two parts, and each part is a block of no more sequences
-than there are words.  The
-split falls where the bit lengths of the level sizes balance, so a wide
-level becomes its own block instead of being copied into a larger one.  On a
-long wall-free chain a block of s levels holds s + 1 sequences, so the cost
-is quadratic in the length: ``(0,)*999 + (1,)`` takes about 50 ms (2-vCPU
-Xeon, CPython 3.11).
+than there are words.  The split falls where the bit lengths of the level
+sizes balance, so a wide level becomes its own block instead of being copied
+into a larger one.  On a long wall-free chain a block of s levels holds s + 1
+sequences, so the cost is quadratic in the length of the chain.
 """
 
 from __future__ import annotations
@@ -125,11 +123,14 @@ PathWord = tuple[Edge, ...]
 class PathCounts(_Value):
     """Counts of wall-terminated normal-form words, by exact and cumulative length.
 
-    The constructor stores both tuples.  :func:`path_counts` stores only the
-    continuants (q_N, q_{N-1}) of k's even simple expansion and k's simple
-    terms, and each field's tuple is built from the terms on its first read
-    and kept in its own slot.  An empty slot marks an unbuilt tuple, so
-    concurrent first reads each get an equal tuple, and one of them stays set.
+    Each instance keeps the invariant pair (cumulative[h], sum(cumulative[:h]))
+    in the slot that :meth:`_invariant` returns.  The constructor stores both
+    tuples and sums that pair from them.  :func:`path_counts` stores only the
+    pair, the continuants (q_N, q_{N-1}) of k's even simple expansion, and
+    k's simple terms, and each field's tuple is built from the terms on its
+    first read and kept in its own slot.  An empty slot marks an unbuilt
+    tuple, so concurrent first reads each get an equal tuple, and one of them
+    stays set.
     """
 
     __slots__ = ("_per_length", "_cumulative", "_terms", "_pair")
@@ -138,6 +139,7 @@ class PathCounts(_Value):
     def __init__(self, per_length: tuple[int, ...], cumulative: tuple[int, ...]):
         _set_per_length(self, per_length)
         _set_cumulative(self, cumulative)
+        _set_pair(self, (cumulative[-1], sum(cumulative[:-1])))
 
     @property
     def per_length(self) -> tuple[int, ...]:
@@ -156,11 +158,8 @@ class PathCounts(_Value):
             return counts
 
     def _invariant(self) -> tuple[int, int]:
-        """(cumulative[h], sum(cumulative[:h])): the pair :func:`path_counts` kept, else the definition."""
-        try:
-            return self._pair
-        except AttributeError:  # built by the constructor
-            return self.cumulative[-1], sum(self.cumulative[:-1])
+        """(cumulative[h], sum(cumulative[:h])), kept when the counts were made."""
+        return self._pair
 
 
 _new = object.__new__

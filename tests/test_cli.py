@@ -17,6 +17,7 @@ import time
 import tracemalloc
 from contextlib import contextmanager, redirect_stderr, redirect_stdout
 from functools import cache
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -27,7 +28,8 @@ import cfkit.cli
 import cfkit.correspondence
 import cfkit.paths
 from cfkit.cli import main
-from cfkit.paths import enumerate_paths
+from cfkit.contfrac import KSequence
+from cfkit.paths import defect_by_enumeration, enumerate_paths
 from test_cli_corpus import replay
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -275,20 +277,40 @@ def test_oracle_zero_chain_at_length_1000(capsys):
 
 
 def test_oracle_builds_only_lengths_that_end_on_a_wall(capsys, monkeypatch):
-    # lengths f >= 1 with k_f = 0 hold no words; only length 0 and the support are built
-    lengths = []
+    # every length is asked for, but one with k_f = 0 returns before it joins a level
+    real, lengths = cfkit.paths._joined, []
 
-    def counted(k, length):
-        lengths.append(length)
-        return enumerate_paths(k, length)
+    def counted(levels, bits, lo, hi):
+        if (lo, hi) == (1, len(levels) - 1):  # enumerate_paths' own call, not a recursive one
+            lengths.append(hi)
+        return real(levels, bits, lo, hi)
 
-    monkeypatch.setattr(cfkit.paths, "enumerate_paths", counted)
+    monkeypatch.setattr(cfkit.paths, "_joined", counted)
     entries = ["0"] * 40 + ["2"] + ["0"] * 18 + ["1"]
     code, out, err = run(capsys, "oracle", "--k", ",".join(entries), "--format", "json")
     outputs = json.loads(out)["outputs"]
     assert (code, err, outputs["match"]) == (0, "", True)
-    assert lengths == [60, 41, 0]  # support size + 1, longest first
+    assert lengths == [60, 41]  # longest first; length 0 is the empty word, joined from nothing
     assert [f for f, c in enumerate(outputs["enumerated_counts"]) if c != "0"] == [0, 41, 60]
+
+
+def oracle_sequences():
+    """Every k with h <= 5 and entries <= 2, the zero sequence first, then (0,)*59 + (1,)."""
+    yield ()
+    for h in range(1, 6):
+        yield from (entries for entries in product(range(3), repeat=h) if entries[-1])
+    yield (0,) * 59 + (1,)
+
+
+def test_oracle_counts_each_length_and_the_defect_by_enumeration(capsys):
+    for entries in oracle_sequences():
+        k = KSequence(entries)
+        code, out, err = run(capsys, "oracle", "--k", ",".join(map(str, entries or (0,))), "--format", "json")
+        outputs = json.loads(out)["outputs"]
+        expected = [str(len(enumerate_paths(k, f))) for f in range(k.h + 1)]
+        defect = defect_by_enumeration(k) if k.h else 0
+        assert (code, err) == (0, ""), entries
+        assert (outputs["enumerated_counts"], outputs["defect"], outputs["match"]) == (expected, str(defect), True), entries
 
 
 def test_oracle_refuses_a_long_zero_chain_before_building_it(capsys):

@@ -1,3 +1,4 @@
+import ast
 import copy
 import inspect
 import os
@@ -24,6 +25,17 @@ from cfkit import (
     TowerLevel,
     rational_to_invariant,
 )
+
+
+def test_no_library_guard_is_stripped_by_optimize():
+    # python -O drops every assert statement and reads __debug__ as False
+    sources = sorted(Path(cfkit.__file__).parent.glob("*.py"))
+    assert len(sources) >= 9
+    for path in sources:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        stripped = [node.lineno for node in ast.walk(tree)
+                    if isinstance(node, ast.Assert) or isinstance(node, ast.Name) and node.id == "__debug__"]
+        assert stripped == [], (path.name, stripped)
 
 
 def test_all_names_resolve_without_duplicates():

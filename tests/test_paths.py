@@ -27,6 +27,12 @@ from cfkit.paths import (
 )
 
 
+@pytest.fixture(autouse=True)
+def empty_snapshot(monkeypatch):
+    """Each test starts with no kept levels or words, whatever ran before it."""
+    monkeypatch.setattr(paths, "_snapshot", (None, (None,), ()))
+
+
 def small_sequences(max_h, max_entry):
     """All canonical nonzero k-sequences with support height <= max_h."""
     for h in range(1, max_h + 1):
@@ -221,6 +227,7 @@ VALUE_CHECKS = {
 def test_counts_built_on_first_read_behave_like_the_quadratic_sums(k):
     ref = quadratic_counts(k.entries)
     invariant = (ref.cumulative[-1], sum(ref.cumulative[:-1])) if k.h else (1, 0)
+    assert ref._invariant() == invariant  # summed by the constructor
     # terms derived from the entries, and terms kept from the simple CF
     for seq in (k, simple_to_k(k_to_simple(k) if k.h else ContinuedFraction(0))):
         for name, check in VALUE_CHECKS.items():
@@ -580,7 +587,7 @@ def test_reused_levels_give_the_reference_words():
 
 
 def counted_edges(monkeypatch) -> list:
-    """The arguments of every ``Edge`` the enumeration builds, from an empty snapshot on."""
+    """The arguments of every ``Edge`` the enumeration builds."""
     built = []
 
     def counting(*args):
@@ -588,7 +595,6 @@ def counted_edges(monkeypatch) -> list:
         return Edge(*args)
 
     monkeypatch.setattr(paths, "Edge", counting)
-    monkeypatch.setattr(paths, "_snapshot", (None, (None,), ()))
     return built
 
 
@@ -612,11 +618,10 @@ def test_levels_are_built_only_up_to_the_requested_length(monkeypatch):
     assert len(built) == 12
 
 
-def test_a_large_level_set_is_not_kept(monkeypatch):
+def test_a_large_level_set_is_not_kept():
     import gc
     import tracemalloc
 
-    monkeypatch.setattr(paths, "_snapshot", (None, (None,), ()))
     k = KSequence((0,) * 5 + (50_000,))  # 50 012 edges, past the bound of 4 096
     gc.collect()
     tracemalloc.start()
@@ -643,7 +648,7 @@ def test_no_levels_are_built_at_import():
 
 
 def counted_joins(monkeypatch) -> list:
-    """The (lo, hi) of every ``_joined`` call, from an empty snapshot on."""
+    """The (lo, hi) of every ``_joined`` call."""
     real, joins = paths._joined, []
 
     def counting(levels, bits, lo, hi):
@@ -651,7 +656,6 @@ def counted_joins(monkeypatch) -> list:
         return real(levels, bits, lo, hi)
 
     monkeypatch.setattr(paths, "_joined", counting)
-    monkeypatch.setattr(paths, "_snapshot", (None, (None,), ()))
     return joins
 
 
@@ -679,11 +683,10 @@ def test_a_returned_list_is_the_callers_own():
     assert [enumerate_paths(k, f) for f in (1, 3, 4)] == [reference_enumeration(k, f) for f in (1, 3, 4)]
 
 
-def test_words_past_the_budget_are_not_kept(monkeypatch):
+def test_words_past_the_budget_are_not_kept():
     import gc
     import tracemalloc
 
-    monkeypatch.setattr(paths, "_snapshot", (None, (None,), ()))
     k = KSequence((1,) * 12)  # 46 368 words of 12 edges: about 6 MiB by the estimate
     gc.collect()
     tracemalloc.start()
